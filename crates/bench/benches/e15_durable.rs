@@ -69,7 +69,7 @@ fn bench_durable(c: &mut Criterion) {
     group.bench_function("recover-scan-50k", |b| {
         b.iter(|| {
             let reader = StoreReader::open(&torn).unwrap();
-            reader.iter(&Selection::all()).unwrap().count()
+            reader.iter(&Selection::all()).count()
         });
     });
 

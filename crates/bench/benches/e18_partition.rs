@@ -181,11 +181,17 @@ fn partition_audit(events: &[SharedEvent]) {
         );
     }
     let merged = par.stats();
-    assert_eq!(delivered, serial_stats.deliveries, "0 duplicated deliveries");
+    assert_eq!(
+        delivered, serial_stats.deliveries,
+        "0 duplicated deliveries"
+    );
     assert_eq!(merged.deliveries, serial_stats.deliveries);
     assert_eq!(merged.data_copies, 0, "broadcast shares payload handles");
     // The replication price: every replica master-checks every event.
-    assert_eq!(merged.master_checks, serial_stats.master_checks * WORKERS as u64);
+    assert_eq!(
+        merged.master_checks,
+        serial_stats.master_checks * WORKERS as u64
+    );
     assert!(!serial_alerts.is_empty(), "audit needs a live alert stream");
     assert_eq!(par_alerts, serial_alerts, "alert multiset unchanged");
 }

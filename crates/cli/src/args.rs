@@ -16,8 +16,6 @@ const SWITCHES: &[&str] = &[
     "no-attack",
     "demo-queries",
     "pipeline",
-    "follow",
-    "durable-store",
     "resume",
     "quiet",
     "lossless",
@@ -26,7 +24,8 @@ const SWITCHES: &[&str] = &[
 
 impl Flags {
     /// Parse an argv slice. Unknown flags are collected too; commands
-    /// validate what they use.
+    /// validate what they use. A value-taking flag followed by another
+    /// `--flag` is an error rather than a flag swallowed as its value.
     pub fn parse(argv: &[String]) -> Result<Flags, String> {
         let mut flags = Flags::default();
         let mut i = 0;
@@ -40,6 +39,9 @@ impl Flags {
                     let value = argv
                         .get(i + 1)
                         .ok_or_else(|| format!("flag --{name} needs a value"))?;
+                    if value.starts_with("--") {
+                        return Err(format!("flag --{name} needs a value, got flag `{value}`"));
+                    }
                     flags
                         .values
                         .entry(name.to_string())
@@ -111,6 +113,13 @@ mod tests {
     #[test]
     fn missing_value_is_error() {
         assert!(Flags::parse(&argv("--out")).is_err());
+        let err = Flags::parse(&argv("--out --minutes 5")).unwrap_err();
+        assert!(err.contains("--out needs a value"), "{err}");
+        // Single-dash values (stdin) are still values.
+        assert_eq!(
+            Flags::parse(&argv("--file -")).unwrap().get("file"),
+            Some("-")
+        );
     }
 
     #[test]

@@ -7,31 +7,25 @@ use saql_collector::{AttackConfig, SimConfig, Simulator, TraceSource};
 use saql_engine::{Checkpoint, CheckpointConfig, Engine, EngineConfig, RunSession, SessionStatus};
 use saql_lang::corpus;
 use saql_model::Timestamp;
-use saql_stream::replayer::{Replayer, Speed};
-use saql_stream::source::{ChannelSource, EventSource, JsonLinesSource, StoreSource};
+use saql_stream::source::{EventSource, JsonLinesSource, PacedSource, StoreSource};
 use saql_stream::store::Selection;
-use saql_stream::{StoreFormat, StoreReader, StoreWriter};
+use saql_stream::{StoreReader, StoreWriter};
 
 use crate::args::Flags;
 
 /// The one store-opening surface for reads: every command that consumes a
-/// store — `--source store:F`, `replay --store F`, `export --store F`,
-/// `repl --store F` — resolves its path here, so both on-disk layouts
-/// (single file, durable segment directory) work everywhere.
+/// store — `--source store:DIR`, `replay --store DIR`, `export --store DIR`,
+/// `repl --store DIR` — resolves its path here.
 fn open_reader(path: &str) -> Result<StoreReader, String> {
     StoreReader::open(path).map_err(|e| format!("cannot open store {path}: {e}"))
 }
 
-/// The matching writing surface: `--durable-store` selects the segmented
-/// WAL-backed layout (path is a directory), default is the classic single
-/// file.
-fn create_writer(path: &str, durable: bool) -> Result<StoreWriter, String> {
-    let writer = if durable {
-        StoreWriter::create_segmented(path)
-    } else {
-        StoreWriter::create(path)
-    };
-    writer.map_err(|e| format!("cannot create store {path}: {e}"))
+/// A store source, paced at `--speed` when one was given.
+fn paced(source: StoreSource, speed: Option<f64>) -> Box<dyn EventSource> {
+    match speed {
+        Some(factor) => Box::new(PacedSource::new(source, factor)),
+        None => Box::new(source),
+    }
 }
 
 /// Parse `--workers N` into an engine config (0 = serial, the default).
@@ -236,11 +230,12 @@ fn selection_from_flags(flags: &Flags) -> Result<Selection, String> {
     Ok(selection)
 }
 
-fn speed_from_flags(flags: &Flags) -> Result<Speed, String> {
+/// `--speed F` as a pacing factor; `None` (absent or `max`) is unpaced.
+fn speed_from_flags(flags: &Flags) -> Result<Option<f64>, String> {
     match flags.get("speed") {
-        None | Some("max") => Ok(Speed::Unlimited),
+        None | Some("max") => Ok(None),
         Some(v) => match v.parse::<f64>() {
-            Ok(f) if f > 0.0 => Ok(Speed::Compressed { factor: f }),
+            Ok(f) if f > 0.0 => Ok(Some(f)),
             _ => Err("--speed expects a positive factor or `max`".into()),
         },
     }
@@ -248,16 +243,15 @@ fn speed_from_flags(flags: &Flags) -> Result<Speed, String> {
 
 /// Build one event source from a `--source` spec:
 ///
-/// * `store:FILE` — stream a stored selection (with `--follow`, replay it
-///   paced through the replayer at `--speed` instead);
+/// * `store:DIR` — stream a stored selection in stored order, paced at
+///   `--speed` when one was given;
 /// * `jsonl:FILE` / `jsonl:-` — read JSON-lines events from a file/stdin;
 /// * `sim:KEY=VAL,...` — generate a deterministic trace live
 ///   (`seed=`, `clients=`, `minutes=`, `no-attack`).
 fn source_from_spec(
     spec: &str,
     selection: &Selection,
-    follow: bool,
-    speed: Speed,
+    speed: Option<f64>,
 ) -> Result<Box<dyn EventSource>, String> {
     let Some((kind, rest)) = spec.split_once(':') else {
         return Err(format!(
@@ -267,21 +261,9 @@ fn source_from_spec(
     match kind {
         "store" => {
             let reader = open_reader(rest).map_err(|e| format!("--source {spec}: {e}"))?;
-            if follow {
-                let source = ChannelSource::replay(
-                    format!("store:{rest}"),
-                    &Replayer::new(reader),
-                    selection,
-                    speed,
-                    4096,
-                )
+            let source = StoreSource::open(format!("store:{rest}"), &reader, selection)
                 .map_err(|e| format!("--source {spec}: {e}"))?;
-                Ok(Box::new(source))
-            } else {
-                let source = StoreSource::open(format!("store:{rest}"), &reader, selection)
-                    .map_err(|e| format!("--source {spec}: {e}"))?;
-                Ok(Box::new(source))
-            }
+            Ok(paced(source, speed))
         }
         "jsonl" => {
             let reader: Box<dyn BufRead> = if rest == "-" {
@@ -452,7 +434,7 @@ fn report_sources(session: &RunSession<'_>) -> bool {
             line.push_str(&format!(", {} dropped late", s.dropped_late));
             eprintln!(
                 "warning: {id} {} dropped {} event(s) beyond the lateness bound \
-                 (raise --lateness, or use --store/--follow for a full sort)",
+                 (raise --lateness)",
                 s.name, s.dropped_late
             );
         }
@@ -552,23 +534,23 @@ pub fn demo(argv: &[String]) -> i32 {
     0
 }
 
-/// `saql simulate --out FILE` — generate a trace into an event store.
+/// `saql simulate --out DIR` — generate a trace into a store directory.
 pub fn simulate(argv: &[String]) -> i32 {
     let flags = match Flags::parse(argv) {
         Ok(f) => f,
         Err(e) => return fail(&e),
     };
     let Some(out) = flags.get("out") else {
-        return fail("simulate requires --out FILE");
+        return fail("simulate requires --out DIR");
     };
     let config = match sim_config(&flags) {
         Ok(c) => c,
         Err(e) => return fail(&e),
     };
     let trace = Simulator::generate(&config);
-    let mut store = match create_writer(out, flags.switch("durable-store")) {
+    let mut store = match StoreWriter::create_segmented(out) {
         Ok(s) => s,
-        Err(e) => return fail(&e),
+        Err(e) => return fail(&format!("cannot create store {out}: {e}")),
     };
     let written = store
         .append(&trace.events)
@@ -578,14 +560,10 @@ pub fn simulate(argv: &[String]) -> i32 {
         return fail(&format!("write failed: {e}"));
     }
     println!(
-        "wrote {} events ({} hosts, attack: {}) to {out}{}",
+        "wrote {} events ({} hosts, attack: {}) to {out} (segmented, durable)",
         trace.events.len(),
         trace.topology.hosts.len(),
         if config.attack.is_some() { "yes" } else { "no" },
-        match store.format() {
-            StoreFormat::Segmented => " (segmented, durable)",
-            StoreFormat::File => "",
-        },
     );
     print!(
         "{}",
@@ -602,8 +580,8 @@ pub fn simulate(argv: &[String]) -> i32 {
 /// every `--checkpoint-every N` events (default 4096); `--resume` restarts
 /// from the checkpoint in that directory, replaying only the store suffix.
 /// Checkpoints address events by stored-order offset, so a checkpointed or
-/// resumed run takes exactly one `--store FILE` input, streamed in stored
-/// order (no `--follow` pacing, no `--host`/`--from`/`--until` selection).
+/// resumed run takes exactly one `--store DIR` input, streamed in stored
+/// order (no `--host`/`--from`/`--until` selection).
 pub fn replay(argv: &[String]) -> i32 {
     let flags = match Flags::parse(argv) {
         Ok(f) => f,
@@ -617,7 +595,6 @@ pub fn replay(argv: &[String]) -> i32 {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };
-    let follow = flags.switch("follow");
     let lateness_ms = match flags.get_u64("lateness", 1_000) {
         Ok(ms) => ms,
         Err(e) => return fail(&e),
@@ -637,14 +614,8 @@ pub fn replay(argv: &[String]) -> i32 {
     if durable_run {
         if flags.get("store").is_none() || !flags.get_all("source").is_empty() {
             return fail(
-                "checkpointed runs take exactly one --store FILE input \
+                "checkpointed runs take exactly one --store DIR input \
                  (offsets are per-store, not per-merge)",
-            );
-        }
-        if follow {
-            return fail(
-                "--follow replays in time-sorted order; checkpoint offsets \
-                 are stored-order — drop --follow",
             );
         }
         if !selection.hosts.is_empty() || selection.from.is_some() || selection.until.is_some() {
@@ -663,42 +634,34 @@ pub fn replay(argv: &[String]) -> i32 {
     };
     let resume_offset = checkpoint.as_ref().map(|c| c.offset).unwrap_or(0);
 
-    // `--store FILE` is the classic single-store form: replayed through the
-    // sorting replayer, paced by `--speed` — or, on a checkpointed run,
-    // streamed directly in stored order so offsets are replayable.
-    // `--source KIND:...` attaches additional (or alternative) feeds.
+    // `--store DIR` streams the store in stored order, paced by `--speed`;
+    // a checkpointed run starts at the resume offset. `--source KIND:...`
+    // attaches additional (or alternative) feeds.
     let mut sources: Vec<Box<dyn EventSource>> = Vec::new();
     if let Some(path) = flags.get("store") {
         let reader = match open_reader(path) {
             Ok(r) => r,
             Err(e) => return fail(&e),
         };
-        if durable_run {
-            match StoreSource::open_at(format!("replay:{path}"), &reader, resume_offset) {
-                Ok(source) => sources.push(Box::new(source)),
-                Err(e) => return fail(&format!("cannot read {path}: {e}")),
-            }
+        let name = format!("replay:{path}");
+        let source = if durable_run {
+            StoreSource::open_at(name, &reader, resume_offset)
         } else {
-            match ChannelSource::replay(
-                format!("replay:{path}"),
-                &Replayer::new(reader),
-                &selection,
-                speed,
-                4096,
-            ) {
-                Ok(source) => sources.push(Box::new(source)),
-                Err(e) => return fail(&format!("replay failed: {e}")),
-            }
+            StoreSource::open(name, &reader, &selection)
+        };
+        match source {
+            Ok(source) => sources.push(paced(source, speed)),
+            Err(e) => return fail(&format!("cannot read {path}: {e}")),
         }
     }
     for spec in flags.get_all("source") {
-        match source_from_spec(spec, &selection, follow, speed) {
+        match source_from_spec(spec, &selection, speed) {
             Ok(source) => sources.push(source),
             Err(e) => return fail(&e),
         }
     }
     if sources.is_empty() {
-        return fail("replay requires --store FILE or --source KIND:... (store, jsonl, sim)");
+        return fail("replay requires --store DIR or --source KIND:... (store, jsonl, sim)");
     }
 
     let engine_cfg = match engine_config(&flags, false) {
@@ -832,7 +795,7 @@ pub fn replay(argv: &[String]) -> i32 {
     i32::from(degraded)
 }
 
-/// `saql export --store FILE [--out FILE|-]` — write a stored selection as
+/// `saql export --store DIR [--out FILE|-]` — write a stored selection as
 /// JSON-lines events (the interchange format `--source jsonl:` re-ingests),
 /// streaming record by record.
 pub fn export(argv: &[String]) -> i32 {
@@ -841,7 +804,7 @@ pub fn export(argv: &[String]) -> i32 {
         Err(e) => return fail(&e),
     };
     let Some(path) = flags.get("store") else {
-        return fail("export requires --store FILE");
+        return fail("export requires --store DIR");
     };
     let selection = match selection_from_flags(&flags) {
         Ok(s) => s,
@@ -851,10 +814,7 @@ pub fn export(argv: &[String]) -> i32 {
         Ok(r) => r,
         Err(e) => return fail(&e),
     };
-    let iter = match reader.iter(&selection) {
-        Ok(it) => it,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
+    let iter = reader.iter(&selection);
     let stdout = std::io::stdout();
     let mut writer: Box<dyn Write> = match flags.get("out") {
         None | Some("-") => Box::new(stdout.lock()),
@@ -1108,35 +1068,45 @@ pub fn repl_loop(input: &mut dyn BufRead, out: &mut dyn Write, store: Option<Sto
             }
             "run" => match &store {
                 None => {
-                    let _ = writeln!(out, "no store attached (start with --store FILE)");
+                    let _ = writeln!(out, "no store attached (start with --store DIR)");
                 }
                 Some(store) => {
                     // Re-open so a `run` sees events appended since attach.
-                    let replayer = match Replayer::open(store.path()) {
-                        Ok(r) => r,
+                    let source = StoreReader::open(store.path()).and_then(|reader| {
+                        StoreSource::open("repl:store", &reader, &Selection::all())
+                    });
+                    let source = match source {
+                        Ok(s) => s,
                         Err(e) => {
                             let _ = writeln!(out, "store error: {e}");
                             continue;
                         }
                     };
-                    match replayer.replay_iter(&Selection::all()) {
-                        Ok(events) => {
-                            let mut n = 0u64;
-                            for event in events {
-                                for alert in engine.process(&event).unwrap_or_default() {
-                                    n += 1;
-                                    let _ = writeln!(out, "{alert}");
-                                }
-                            }
-                            for alert in engine.finish() {
-                                n += 1;
-                                let _ = writeln!(out, "{alert}");
-                            }
-                            let _ = writeln!(out, "{n} alert(s)");
+                    let mut session = engine.session();
+                    session.attach(source);
+                    let mut n = 0u64;
+                    loop {
+                        let round = session.pump();
+                        for alert in &round.alerts {
+                            n += 1;
+                            let _ = writeln!(out, "{alert}");
                         }
-                        Err(e) => {
-                            let _ = writeln!(out, "replay error: {e}");
+                        if matches!(round.status, SessionStatus::Done) {
+                            break;
                         }
+                    }
+                    let failure = session
+                        .source_stats()
+                        .into_iter()
+                        .find_map(|(_, s)| s.failure);
+                    drop(session);
+                    for alert in engine.finish() {
+                        n += 1;
+                        let _ = writeln!(out, "{alert}");
+                    }
+                    let _ = writeln!(out, "{n} alert(s)");
+                    if let Some(failure) = failure {
+                        let _ = writeln!(out, "store error: {failure}");
                     }
                 }
             },
@@ -1658,8 +1628,9 @@ mod tests {
             }),
         });
         let mut path = std::env::temp_dir();
-        path.push(format!("saql-cli-repl-{}.bin", std::process::id()));
-        let mut store = StoreWriter::create(path.to_str().unwrap()).unwrap();
+        path.push(format!("saql-cli-repl-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let mut store = StoreWriter::create_segmented(&path).unwrap();
         store.append(&trace.events).unwrap();
         store.sync().unwrap();
         drop(store);
@@ -1675,6 +1646,6 @@ mod tests {
         let shown = String::from_utf8(out).unwrap();
         assert!(shown.contains("ALERT c5-exfiltration"), "{shown}");
         assert!(shown.contains("alerts="), "{shown}");
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(path).unwrap();
     }
 }

@@ -4,14 +4,15 @@
 //!
 //! * `saql demo` — run the full APT demonstration: simulate the enterprise,
 //!   deploy the 8 demo queries, stream the trace, print alerts live;
-//! * `saql simulate --out FILE [...]` — generate a trace into an event store;
-//! * `saql replay --store FILE [...]` — replay a stored trace (host and
-//!   time-range selection, optional compression) through deployed queries;
+//! * `saql simulate --out DIR [...]` — generate a trace into a store
+//!   directory;
+//! * `saql replay --store DIR [...]` — replay a stored trace (host and
+//!   time-range selection, optional pacing) through deployed queries;
 //! * `saql check FILE...` — parse + semantically check query files, printing
 //!   canonical form or spanned errors;
 //! * `saql explain FILE...` — print the compiled execution plan (resolved
 //!   slots, predicate sets, register-program listings) of query files;
-//! * `saql repl [--store FILE]` — interactive session: type a query (blank
+//! * `saql repl [--store DIR]` — interactive session: type a query (blank
 //!   line to finish), `run` to stream the store through deployed queries.
 
 use std::io::{BufRead, Write};
@@ -57,16 +58,15 @@ SAQL — stream-based anomaly query system over system monitoring data
 USAGE:
     saql demo       [--clients N] [--minutes M] [--seed S] [--workers W]
                     [--pipeline] [LIFECYCLE]...
-    saql simulate   --out FILE [--clients N] [--minutes M] [--seed S] [--no-attack]
-                    [--durable-store]
-    saql replay     [--store FILE] [--source KIND:...]... [--follow]
+    saql simulate   --out DIR [--clients N] [--minutes M] [--seed S] [--no-attack]
+    saql replay     [--store DIR] [--source KIND:...]...
                     [--host H]... [--from MS] [--until MS] [--lateness MS]
                     [--speed FACTOR|max] [--demo-queries] [--query FILE]...
                     [--workers W] [--checkpoint-dir DIR] [--checkpoint-every N]
                     [--resume] [LIFECYCLE]...
-    saql export     --store FILE [--out FILE|-] [--host H]... [--from MS] [--until MS]
+    saql export     --store DIR [--out FILE|-] [--host H]... [--from MS] [--until MS]
     saql serve      [--listen ADDR] [--query FILE]... [--demo-queries] [--workers W]
-                    [--lateness MS] [--ingest-buffer N] [--store PATH]
+                    [--lateness MS] [--ingest-buffer N] [--store DIR]
                     [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
                     [--max-queries N] [--events-per-sec N] [--burst N]
                     [--tenant-quota T:EPS[:BURST]]... [--grace MS] [--quiet]
@@ -76,7 +76,7 @@ USAGE:
     saql client     ctl    [--addr A] [--tenant T] CMD [NAME] [FILE]
     saql check      FILE...
     saql explain    FILE...
-    saql repl       [--store FILE]
+    saql repl       [--store DIR]
     saql help
 
 `explain` prints the compiled execution plan of each query: resolved slot
@@ -89,22 +89,21 @@ threads (default 0 = serial execution on one thread).
 
 SOURCES (repeatable; all feeds are fused by a watermarked K-way merge into
 one event-time-ordered stream, so `replay` ingests any mix of):
-    --store FILE                 the classic single store, sorted and paced
-                                 by --speed through the replayer
-    --source store:FILE          stream a store selection record by record
-                                 (with --follow: replay it paced instead)
+    --store DIR                  a store's host/time selection, in stored
+                                 order (the one input checkpointed runs take)
+    --source store:DIR           the same, as one of several sources
     --source jsonl:FILE|-        JSON-lines events from a file or stdin
                                  (the format `saql export` writes)
     --source sim:K=V,...         a generated trace, live
                                  (seed=, clients=, minutes=, no-attack)
-Events out of order beyond `--lateness MS` (default 1000) of trace time
-are dropped and counted per source; a source that fails mid-stream
-(corrupt record, read error) finishes the run on partial data, warns on
-stderr, and exits 1.
+`--speed F` replays every store input at F× trace time (`max`, the
+default, is unpaced); pacing never reorders events. Events out of order
+beyond `--lateness MS` (default 1000) of trace time are dropped and
+counted per source; a source that fails mid-stream (corrupt record, read
+error) finishes the run on partial data, warns on stderr, and exits 1.
 
-DURABILITY (store paths accept both layouts everywhere: a single file, or
-the segmented WAL-backed directory `simulate --durable-store` writes):
-    --durable-store              simulate: write a segmented store (DIR)
+DURABILITY (a store is a directory of sealed segments plus a write-ahead
+log tail; `simulate --out DIR` and `serve --store DIR` write one):
     --checkpoint-dir DIR         replay: checkpoint engine state into DIR
     --checkpoint-every N         checkpoint cadence in events (default 4096)
     --resume                     replay: restore from DIR's checkpoint and
@@ -168,12 +167,11 @@ EXAMPLES:
     saql demo --clients 8 --minutes 60
     saql demo --workers 4
     saql demo --register-at 5000:exfil=my-query.saql --deregister-at 20000:exfil
-    saql simulate --out /tmp/trace.saql --minutes 45
-    saql replay --store /tmp/trace.saql --host db-server --demo-queries
-    saql replay --source store:/tmp/a.bin --source jsonl:/tmp/b.jsonl --demo-queries
-    saql replay --source store:/tmp/trace.saql --follow --speed 60 --demo-queries
-    saql export --store /tmp/trace.saql --out /tmp/trace.jsonl
-    saql simulate --out /tmp/trace.d --durable-store
+    saql simulate --out /tmp/trace.d --minutes 45
+    saql replay --store /tmp/trace.d --host db-server --demo-queries
+    saql replay --source store:/tmp/a.d --source jsonl:/tmp/b.jsonl --demo-queries
+    saql replay --store /tmp/trace.d --speed 60 --demo-queries
+    saql export --store /tmp/trace.d --out /tmp/trace.jsonl
     saql replay --store /tmp/trace.d --demo-queries --checkpoint-dir /tmp/ckpt
     saql replay --store /tmp/trace.d --checkpoint-dir /tmp/ckpt --resume
     saql demo --pipeline

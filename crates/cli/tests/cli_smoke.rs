@@ -108,6 +108,28 @@ fn missing_flag_value_is_reported() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("--out needs a value"), "got: {err}");
+    // A flag-shaped next argument is not a value: no file named
+    // `--minutes`, and a removed switch cannot swallow the next flag.
+    for args in [
+        &["simulate", "--out", "--minutes", "5"][..],
+        &[
+            "replay",
+            "--source",
+            "sim:minutes=1",
+            "--follow",
+            "--speed",
+            "60",
+        ],
+    ] {
+        let out = saql(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("needs a value, got flag `--"),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(!std::path::Path::new("--minutes").exists());
 }
 
 #[test]
@@ -202,7 +224,8 @@ fn alert_lines(stdout: &[u8]) -> Vec<String> {
 
 fn simulate_store(name: &str) -> PathBuf {
     let mut store = std::env::temp_dir();
-    store.push(format!("saql-cli-smoke-{}-{name}.bin", std::process::id()));
+    store.push(format!("saql-cli-smoke-{}-{name}.d", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
     let out = saql(&[
         "simulate",
         "--out",
@@ -256,7 +279,7 @@ fn jsonl_round_trip_reproduces_replay_alerts() {
     assert!(!store_alerts.is_empty(), "attack trace must alert");
     assert_eq!(store_alerts, jsonl_alerts, "round trip changed alerts");
 
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
     let _ = std::fs::remove_file(&jsonl);
 }
 
@@ -284,27 +307,30 @@ fn replay_merges_multiple_sources() {
         assert!(text.contains("store:"), "per-source stats missing: {text}");
         assert!(text.contains("[ALERT "), "attack store must alert: {text}");
     }
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
-fn replay_follow_paces_a_store_source() {
-    let store = simulate_store("follow");
+fn replay_speed_paces_a_store_source() {
+    let store = simulate_store("paced");
     let spec = format!("store:{}", store.to_str().unwrap());
-    // Aggressive compression so the paced replay finishes instantly-ish.
-    let out = saql(&[
-        "replay",
-        "--source",
-        &spec,
-        "--follow",
-        "--speed",
-        "100000",
-        "--demo-queries",
-    ]);
-    assert!(out.status.success(), "follow replay failed: {out:?}");
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("replayed"), "{text}");
-    let _ = std::fs::remove_file(&store);
+    let unpaced = saql(&["replay", "--source", &spec, "--demo-queries"]);
+    assert!(unpaced.status.success(), "{unpaced:?}");
+    // Aggressive compression so the paced replays finish instantly-ish;
+    // pacing keeps stored order, so the alerts do not change.
+    for input in [
+        &["--source", &spec][..],
+        &["--store", store.to_str().unwrap()],
+    ] {
+        let mut args = vec!["replay", "--speed", "100000", "--demo-queries"];
+        args.extend_from_slice(input);
+        let out = saql(&args);
+        assert!(out.status.success(), "paced replay failed: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("replayed"), "{text}");
+        assert_eq!(alert_lines(&out.stdout), alert_lines(&unpaced.stdout));
+    }
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -313,8 +339,14 @@ fn truncated_store_source_degrades_with_warning_and_exit_one() {
     // clean event, the run completes on partial data, a warning names the
     // source on stderr, and the exit code says "degraded".
     let store = simulate_store("truncated");
-    let raw = std::fs::read(&store).unwrap();
-    std::fs::write(&store, &raw[..raw.len() - 7]).unwrap();
+    let last_segment = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "saqlseg"))
+        .max()
+        .expect("simulate seals segments");
+    let raw = std::fs::read(&last_segment).unwrap();
+    std::fs::write(&last_segment, &raw[..raw.len() - 7]).unwrap();
     let spec = format!("store:{}", store.to_str().unwrap());
     let out = saql(&["replay", "--source", &spec, "--demo-queries"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
@@ -328,7 +360,7 @@ fn truncated_store_source_degrades_with_warning_and_exit_one() {
     assert_eq!(exported.status.code(), Some(2));
     let err = String::from_utf8(exported.stderr).unwrap();
     assert!(err.contains("corrupt store"), "{err}");
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -347,13 +379,29 @@ fn replay_rejects_unknown_source_specs() {
     let out = saql(&["replay", "--demo-queries"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--store FILE or --source"), "{err}");
+    assert!(err.contains("--store DIR or --source"), "{err}");
+}
+
+#[test]
+fn regular_file_is_not_a_store() {
+    let file = temp_file("not-a-store.bin", "a regular file");
+    let path = file.to_str().unwrap();
+    for args in [
+        &["replay", "--store", path, "--demo-queries"][..],
+        &["export", "--store", path],
+    ] {
+        let out = saql(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("is not a store directory"), "{args:?}: {err}");
+        assert!(err.contains("seg-NNNNNN.saqlseg"), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_file(&file);
 }
 
 #[test]
 fn durable_store_checkpoint_and_resume_round_trip() {
-    // simulate --durable-store writes a segmented directory store; a
-    // checkpointed replay streams it in stored order and records progress;
+    // simulate writes a segmented directory store; a checkpointed replay streams it in stored order and records progress;
     // --resume restores the engine and replays only the suffix.
     let mut store = std::env::temp_dir();
     store.push(format!("saql-cli-smoke-{}-durable.d", std::process::id()));
@@ -373,9 +421,8 @@ fn durable_store_checkpoint_and_resume_round_trip() {
         "30",
         "--seed",
         "77",
-        "--durable-store",
     ]);
-    assert!(out.status.success(), "simulate --durable-store: {out:?}");
+    assert!(out.status.success(), "simulate: {out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("(segmented, durable)"), "{text}");
     assert!(store.is_dir(), "durable store must be a directory");
@@ -444,17 +491,6 @@ fn replay_rejects_inconsistent_durability_flags() {
         (
             vec![
                 "replay",
-                "--store",
-                s,
-                "--checkpoint-dir",
-                "/tmp/x",
-                "--follow",
-            ],
-            "drop --follow",
-        ),
-        (
-            vec![
-                "replay",
                 "--source",
                 "sim:minutes=1",
                 "--checkpoint-dir",
@@ -480,13 +516,14 @@ fn replay_rejects_inconsistent_durability_flags() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains(needle), "{args:?}: {err}");
     }
-    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
 fn simulate_then_check_store_exists() {
     let mut store = std::env::temp_dir();
-    store.push(format!("saql-cli-smoke-{}-trace.bin", std::process::id()));
+    store.push(format!("saql-cli-smoke-{}-trace.d", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
     let out = saql(&[
         "simulate",
         "--out",
@@ -496,8 +533,16 @@ fn simulate_then_check_store_exists() {
         "--minutes",
         "1",
     ]);
-    let written = std::fs::metadata(&store).map(|m| m.len()).unwrap_or(0);
-    let _ = std::fs::remove_file(&store);
+    let segments = std::fs::read_dir(&store)
+        .map(|dir| {
+            dir.filter(|e| {
+                e.as_ref()
+                    .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "saqlseg"))
+            })
+            .count()
+        })
+        .unwrap_or(0);
+    let _ = std::fs::remove_dir_all(&store);
     assert!(out.status.success(), "simulate failed: {out:?}");
-    assert!(written > 0, "simulate produced an empty store");
+    assert!(segments > 0, "simulate produced an empty store");
 }

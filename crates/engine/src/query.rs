@@ -24,9 +24,7 @@ use crate::eval::{eval, run_program, run_program_batch, ClusterOutcome, EventRow
 use crate::invariant::{InvariantRuntime, InvariantSnapshot};
 use crate::matcher::{FullMatch, GlobalFilter, MatcherSnapshot, MultiMatcher, PatternMatcher};
 use crate::plan::{EntityBind, ExecCtx, QueryPlan};
-use crate::state::{
-    partition_of, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView,
-};
+use crate::state::{partition_of, ClosedGroup, KeyAtom, StateMaintainer, StateSnapshot, StateView};
 use crate::value::Value;
 use crate::window::{WindowDriver, WindowSnapshot};
 
@@ -1201,7 +1199,7 @@ impl RunningQuery {
                 }
             }
             state.observe(&self.windows_buf, key_buf, fold_buf);
-        } else if self.partition.map_or(true, |p| p.index == 0) {
+        } else if self.partition.is_none_or(|p| p.index == 0) {
             self.errors.report(EngineError::Eval(format!(
                 "group key of state `{}` unresolvable for event {}",
                 state.name(),

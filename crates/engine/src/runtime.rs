@@ -270,8 +270,7 @@ impl ParallelEngine {
             if partitioned {
                 // One replica per shard, each restored with a disjoint
                 // slice of the query's (possibly restored) group state.
-                for (shard, replica) in
-                    query.replicas(self.config.workers).into_iter().enumerate()
+                for (shard, replica) in query.replicas(self.config.workers).into_iter().enumerate()
                 {
                     self.send_control(shard, ControlMsg::AddQuery(Box::new(replica)), &mut alerts);
                 }
@@ -624,7 +623,9 @@ impl ParallelEngine {
         for report in reports {
             // Batches broadcast to every shard (even in partitioned mode),
             // so `events` merges as a maximum.
-            drained.stats.absorb_shard(report.stats, ShardMerge::Broadcast);
+            drained
+                .stats
+                .absorb_shard(report.stats, ShardMerge::Broadcast);
             drained.shard_stats.push((report.id, report.stats));
             for (qid, name, stats) in report.query_stats {
                 match stat_row.get(&qid) {

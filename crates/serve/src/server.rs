@@ -1425,7 +1425,8 @@ fn run_ingest(
     // finished chunks and applies quota/backpressure/accounting strictly
     // in line order — so `decode_errors`, the first-error message, and
     // per-tenant quota semantics are bit-identical to the old inline loop.
-    type DecodedChunk = (u64, Vec<(u64, Result<Event, String>)>);
+    type DecodedLines = Vec<(u64, Result<Event, String>)>;
+    type DecodedChunk = (u64, DecodedLines);
     let closed = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let (job_tx, job_rx) = bounded::<(u64, Vec<(u64, String)>)>(DECODE_BACKLOG);
@@ -1457,7 +1458,7 @@ fn run_ingest(
             (&accepted, &decode_failed, &shed_quota, &shed_buffer);
         let tenant_gov = &tenant_gov;
         scope.spawn(move || {
-            let mut pending: HashMap<u64, Vec<(u64, Result<Event, String>)>> = HashMap::new();
+            let mut pending: HashMap<u64, DecodedLines> = HashMap::new();
             let mut next_chunk: u64 = 0;
             let mut first_decode_err: Option<(u64, String)> = None;
             while let Ok((chunk_no, decoded)) = done_rx.recv() {
@@ -1471,7 +1472,7 @@ fn run_ingest(
                                 stat.decode_errors.fetch_add(1, Ordering::Relaxed);
                                 decode_failed.fetch_add(1, Ordering::Relaxed);
                                 let (first_line, first_msg) =
-                                    first_decode_err.get_or_insert_with(|| (line_no, e));
+                                    first_decode_err.get_or_insert((line_no, e));
                                 // Live degradation surface: the paired
                                 // ChannelSource's failure() — and so the
                                 // session's per-source stats — reports this
@@ -1537,10 +1538,7 @@ fn run_ingest(
             // Flush when full, or as soon as the buffered input drains —
             // never hold decoded work hostage to a quiet socket.
             if chunk.len() >= DECODE_CHUNK || (reader.buffer().is_empty() && !chunk.is_empty()) {
-                if job_tx
-                    .send((chunk_no, std::mem::take(&mut chunk)))
-                    .is_err()
-                {
+                if job_tx.send((chunk_no, std::mem::take(&mut chunk))).is_err() {
                     break;
                 }
                 chunk_no += 1;

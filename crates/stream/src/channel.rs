@@ -1,9 +1,9 @@
 //! Bounded event channels.
 //!
-//! Agents (or the replayer) publish events; the engine consumes them. The
-//! channel carries `Arc<Event>` — the master–dependent-query scheme depends
-//! on every consumer observing the *same allocation*, so cloning a stream
-//! item never copies event payloads.
+//! Producer threads (push handles, serve connections) publish events; the
+//! engine consumes them. The channel carries `Arc<Event>` — the
+//! master–dependent-query scheme depends on every consumer observing the
+//! *same allocation*, so cloning a stream item never copies event payloads.
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 

@@ -1,35 +1,35 @@
-//! Durable event store: the [`StoreWriter`]/[`StoreReader`] split over both
-//! store layouts, with WAL-disciplined appends and recovery-on-open.
+//! Durable event store: the [`StoreWriter`]/[`StoreReader`] split over the
+//! segmented store directory, with WAL-disciplined appends and
+//! recovery-on-open.
 //!
-//! Two on-disk layouts hide behind one opening surface:
+//! A store is a directory of immutable, atomically sealed segment files
+//! (`seg-NNNNNN.saqlseg`, the [`crate::segment`] format whose header carries
+//! the per-segment index: event count, time range, host set) plus one
+//! append-only WAL tail (`wal.saqlwal`). It is the only on-disk layout.
 //!
-//! * **single file** — the classic [`EventStore`] layout (`SAQLSTO1` header
-//!   plus back-to-back codec records); fine for demos and exports;
-//! * **segmented directory** — the durable layout: immutable, atomically
-//!   sealed segment files (`seg-NNNNNN.saqlseg`, the [`crate::segment`]
-//!   format whose header carries the per-segment index: event count, time
-//!   range, host set) plus one append-only WAL tail (`wal.saqlwal`).
+//! Append discipline: every appended event first lands in the WAL
+//! (`append` + [`StoreWriter::sync`] = durable ack). When the WAL reaches
+//! the segment size, its head is sealed into a fresh segment — written to a
+//! temp file, fsynced, renamed — and the WAL is atomically rewritten to
+//! hold only the unsealed tail. The WAL header records `base`, the number
+//! of events already sealed when that WAL generation was written, so a
+//! crash *between* the segment rename and the WAL rewrite is recoverable:
+//! recovery sees `base < sealed` and skips the first `sealed - base` WAL
+//! events as duplicates of the freshly sealed segment.
 //!
-//! Append discipline for the segmented layout: every appended event first
-//! lands in the WAL (`append` + [`StoreWriter::sync`] = durable ack). When
-//! the WAL reaches the segment size, its head is sealed into a fresh
-//! segment — written to a temp file, fsynced, renamed — and the WAL is
-//! atomically rewritten to hold only the unsealed tail. The WAL header
-//! records `base`, the number of events already sealed when that WAL
-//! generation was written, so a crash *between* the segment rename and the
-//! WAL rewrite is recoverable: recovery sees `base < sealed` and skips the
-//! first `sealed - base` WAL events as duplicates of the freshly sealed
-//! segment.
+//! Recovery-on-open ([`StoreWriter::open`]) truncates a torn WAL tail:
+//! records are decoded up to the first decode failure and the WAL is
+//! rewritten at the last whole-record boundary. Everything appended before
+//! the last successful [`sync`](StoreWriter::sync) survives any crash; a
+//! torn tail can only lose the unsynced suffix. [`StoreReader`] applies the
+//! same scan read-only (it tolerates a torn tail without repairing it), and
+//! addresses events by **global offset** — the index of a record in append
+//! order across all segments plus the WAL — which is what engine
+//! checkpoints record and [`StoreReader::iter_from`] resumes from.
 //!
-//! Recovery-on-open ([`StoreWriter::open`]) truncates a torn tail: records
-//! are decoded up to the first decode failure and the file is rewritten at
-//! the last whole-record boundary. Everything appended before the last
-//! successful [`sync`](StoreWriter::sync) survives any crash; a torn tail
-//! can only lose the unsynced suffix. [`StoreReader`] applies the same scan
-//! read-only (it tolerates a torn tail without repairing it), and addresses
-//! events by **global offset** — the index of a record in append order
-//! across all segments plus the WAL — which is what engine checkpoints
-//! record and [`StoreReader::iter_from`] resumes from.
+//! Opening either side reads segment headers only; record bodies are read
+//! when an iterator reaches their segment, so a corrupt body surfaces as an
+//! iterator error rather than an open error.
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
@@ -40,7 +40,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use saql_model::{codec, Event};
 
 use crate::segment::{read_meta, read_segment_events, write_segment, SegmentMeta};
-use crate::store::{EventIter, EventStore, Selection, StoreError};
+use crate::store::{Selection, StoreError};
 
 const WAL_MAGIC: &[u8; 8] = b"SAQLWAL1";
 /// WAL header: magic + little-endian `base` (events sealed when written).
@@ -48,15 +48,6 @@ const WAL_HEADER_LEN: usize = 16;
 
 /// Default events per sealed segment.
 pub const DEFAULT_SEGMENT_EVENTS: usize = 4096;
-
-/// Which on-disk layout a store path resolved to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreFormat {
-    /// Single `SAQLSTO1` file.
-    File,
-    /// Segment directory with a WAL tail.
-    Segmented,
-}
 
 fn wal_path(dir: &Path) -> PathBuf {
     dir.join("wal.saqlwal")
@@ -66,7 +57,24 @@ fn segment_file(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("seg-{index:06}.saqlseg"))
 }
 
+/// Reject a path that exists but is not a directory, naming the layout a
+/// store must have.
+fn require_store_dir(path: &Path) -> Result<(), StoreError> {
+    if path.exists() && !path.is_dir() {
+        return Err(StoreError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "{} is not a store directory (a store is a directory of \
+                 seg-NNNNNN.saqlseg segments plus a wal.saqlwal tail)",
+                path.display()
+            ),
+        )));
+    }
+    Ok(())
+}
+
 fn sorted_segment_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
+    require_store_dir(dir)?;
     let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|e| e == "saqlseg"))
@@ -139,33 +147,6 @@ fn rewrite_wal(dir: &Path, base: u64, tail: &[Event]) -> Result<(), StoreError> 
     Ok(())
 }
 
-/// Scan a single-file store, counting whole records up to a torn tail.
-/// Returns `(events, valid_len, file_len)`.
-fn scan_file_store(path: &Path) -> Result<(u64, u64, u64), StoreError> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    let file_len = raw.len() as u64;
-    if raw.len() < 8 || &raw[..8] != b"SAQLSTO1" {
-        return Err(StoreError::BadMagic);
-    }
-    let mut buf = Bytes::from(raw);
-    buf.advance(8);
-    let mut n = 0u64;
-    let mut valid_len = 8u64;
-    while buf.has_remaining() {
-        let mut attempt = buf.clone();
-        match codec::decode_event(&mut attempt) {
-            Ok(_) => {
-                valid_len += (buf.len() - attempt.len()) as u64;
-                buf = attempt;
-                n += 1;
-            }
-            Err(_) => break,
-        }
-    }
-    Ok((n, valid_len, file_len))
-}
-
 /// The WAL tail a reader reconstructs: events not yet sealed into segments.
 /// `sealed` is the segment event total; duplicates of a seal that crashed
 /// before its WAL rewrite are skipped via the header `base` (see module
@@ -200,23 +181,10 @@ fn wal_tail(dir: &Path, sealed: u64) -> Result<Vec<Event>, StoreError> {
 // StoreWriter
 // ---------------------------------------------------------------------
 
-/// The single writing surface over both store layouts: create or recover a
-/// store, append events, `sync` for a durable ack, and (segmented layout)
-/// seal WAL head into immutable segments as it fills.
+/// The single writing surface: create or recover a store directory, append
+/// events, `sync` for a durable ack, and seal the WAL head into immutable
+/// segments as it fills.
 pub struct StoreWriter {
-    inner: WriterInner,
-}
-
-enum WriterInner {
-    File {
-        store: EventStore,
-        handle: File,
-        len: u64,
-    },
-    Segmented(SegWriter),
-}
-
-struct SegWriter {
     dir: PathBuf,
     segment_events: usize,
     wal: File,
@@ -229,32 +197,20 @@ struct SegWriter {
 }
 
 impl StoreWriter {
-    /// Create a fresh single-file store (truncating any existing file).
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let store = EventStore::create(&path)?;
-        let handle = OpenOptions::new().append(true).open(path.as_ref())?;
-        Ok(StoreWriter {
-            inner: WriterInner::File {
-                store,
-                handle,
-                len: 0,
-            },
-        })
-    }
-
-    /// Create a fresh segmented store directory with the default segment
-    /// size. Fails if the directory already holds a store.
+    /// Create a fresh store directory with the default segment size. Fails
+    /// if the directory already holds a store.
     pub fn create_segmented(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::create_segmented_with(dir, DEFAULT_SEGMENT_EVENTS)
     }
 
-    /// Create a fresh segmented store with an explicit segment size.
+    /// Create a fresh store directory with an explicit segment size.
     pub fn create_segmented_with(
         dir: impl AsRef<Path>,
         segment_events: usize,
     ) -> Result<Self, StoreError> {
         assert!(segment_events > 0, "segments must hold at least one event");
         let dir = dir.as_ref().to_path_buf();
+        require_store_dir(&dir)?;
         fs::create_dir_all(&dir)?;
         if wal_path(&dir).exists() || !sorted_segment_paths(&dir)?.is_empty() {
             return Err(StoreError::Io(std::io::Error::new(
@@ -265,42 +221,25 @@ impl StoreWriter {
         rewrite_wal(&dir, 0, &[])?;
         let wal = OpenOptions::new().append(true).open(wal_path(&dir))?;
         Ok(StoreWriter {
-            inner: WriterInner::Segmented(SegWriter {
-                dir,
-                segment_events,
-                wal,
-                tail: Vec::new(),
-                sealed: 0,
-                next_segment: 0,
-                buf: BytesMut::with_capacity(64 * 1024),
-            }),
+            dir,
+            segment_events,
+            wal,
+            tail: Vec::new(),
+            sealed: 0,
+            next_segment: 0,
+            buf: BytesMut::with_capacity(64 * 1024),
         })
     }
 
-    /// Open an existing store for appending, recovering on open: a torn
-    /// tail (crash mid-write) is truncated back to the last whole-record
-    /// boundary, so every previously synced event survives. Directories
-    /// open as segmented stores, files as single-file stores.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            return Self::open_segmented(path, DEFAULT_SEGMENT_EVENTS);
-        }
-        let (len, valid_len, file_len) = scan_file_store(path)?;
-        if valid_len < file_len {
-            OpenOptions::new()
-                .write(true)
-                .open(path)?
-                .set_len(valid_len)?;
-        }
-        let store = EventStore::open(path)?;
-        let handle = OpenOptions::new().append(true).open(path)?;
-        Ok(StoreWriter {
-            inner: WriterInner::File { store, handle, len },
-        })
+    /// Open an existing store for appending with the default segment size,
+    /// recovering on open: a torn WAL tail (crash mid-write) is truncated
+    /// back to the last whole-record boundary, so every previously synced
+    /// event survives.
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        Self::open_segmented(dir, DEFAULT_SEGMENT_EVENTS)
     }
 
-    /// Open (or recover) a segmented store with an explicit segment size.
+    /// Open (or recover) a store with an explicit segment size.
     pub fn open_segmented(
         dir: impl AsRef<Path>,
         segment_events: usize,
@@ -322,15 +261,13 @@ impl StoreWriter {
         rewrite_wal(&dir, sealed, &tail)?;
         let wal = OpenOptions::new().append(true).open(wal_path(&dir))?;
         Ok(StoreWriter {
-            inner: WriterInner::Segmented(SegWriter {
-                dir,
-                segment_events,
-                wal,
-                tail,
-                sealed,
-                next_segment,
-                buf: BytesMut::with_capacity(64 * 1024),
-            }),
+            dir,
+            segment_events,
+            wal,
+            tail,
+            sealed,
+            next_segment,
+            buf: BytesMut::with_capacity(64 * 1024),
         })
     }
 
@@ -338,61 +275,40 @@ impl StoreWriter {
     /// Appends are buffered by the OS until [`sync`](Self::sync); sealing
     /// is automatic once the WAL holds a full segment.
     pub fn append(&mut self, events: &[Event]) -> Result<u64, StoreError> {
-        match &mut self.inner {
-            WriterInner::File { handle, len, .. } => {
-                let mut buf = BytesMut::with_capacity(events.len() * 96);
-                for e in events {
-                    codec::encode_event(&mut buf, e);
-                }
-                handle.write_all(&buf)?;
-                *len += events.len() as u64;
-                Ok(*len)
-            }
-            WriterInner::Segmented(w) => {
-                w.buf.clear();
-                for e in events {
-                    codec::encode_event(&mut w.buf, e);
-                }
-                w.wal.write_all(&w.buf)?;
-                w.tail.extend_from_slice(events);
-                while w.tail.len() >= w.segment_events {
-                    w.seal_head()?;
-                }
-                Ok(w.sealed + w.tail.len() as u64)
-            }
+        self.buf.clear();
+        for e in events {
+            codec::encode_event(&mut self.buf, e);
         }
+        self.wal.write_all(&self.buf)?;
+        self.tail.extend_from_slice(events);
+        while self.tail.len() >= self.segment_events {
+            self.seal_head()?;
+        }
+        Ok(self.len())
     }
 
     /// Durably ack everything appended so far (fsync). Events appended
     /// before a successful `sync` survive any crash or torn tail.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        match &mut self.inner {
-            WriterInner::File { handle, .. } => handle.sync_data()?,
-            WriterInner::Segmented(w) => w.wal.sync_data()?,
-        }
+        self.wal.sync_data()?;
         Ok(())
     }
 
     /// Seal the WAL tail into a final (possibly short) segment. No-op on
-    /// single-file stores and empty tails.
+    /// an empty tail.
     pub fn seal(&mut self) -> Result<(), StoreError> {
-        if let WriterInner::Segmented(w) = &mut self.inner {
-            while w.tail.len() >= w.segment_events {
-                w.seal_head()?;
-            }
-            if !w.tail.is_empty() {
-                w.seal_all()?;
-            }
+        while self.tail.len() >= self.segment_events {
+            self.seal_head()?;
+        }
+        if !self.tail.is_empty() {
+            self.seal_all()?;
         }
         Ok(())
     }
 
     /// Total events in the store (sealed + WAL tail).
     pub fn len(&self) -> u64 {
-        match &self.inner {
-            WriterInner::File { len, .. } => *len,
-            WriterInner::Segmented(w) => w.sealed + w.tail.len() as u64,
-        }
+        self.sealed + self.tail.len() as u64
     }
 
     /// Whether the store holds no events.
@@ -400,24 +316,11 @@ impl StoreWriter {
         self.len() == 0
     }
 
-    /// The store's path (file or directory).
+    /// The store's directory.
     pub fn path(&self) -> &Path {
-        match &self.inner {
-            WriterInner::File { store, .. } => store.path(),
-            WriterInner::Segmented(w) => &w.dir,
-        }
+        &self.dir
     }
 
-    /// The layout this writer writes.
-    pub fn format(&self) -> StoreFormat {
-        match &self.inner {
-            WriterInner::File { .. } => StoreFormat::File,
-            WriterInner::Segmented(_) => StoreFormat::Segmented,
-        }
-    }
-}
-
-impl SegWriter {
     /// Seal the first `segment_events` WAL events into a segment.
     fn seal_head(&mut self) -> Result<(), StoreError> {
         let chunk: Vec<Event> = self.tail.drain(..self.segment_events).collect();
@@ -449,209 +352,139 @@ impl SegWriter {
 // StoreReader
 // ---------------------------------------------------------------------
 
-/// The single reading surface over both store layouts. Opening is
-/// non-destructive: a torn tail is tolerated (ignored) but never repaired.
-/// Segmented reads prune non-intersecting segments by header, and
-/// [`iter_from`](Self::iter_from) skips whole segments by their counted
-/// events when resuming from a global offset.
+/// The single reading surface. Opening is non-destructive: a torn tail is
+/// tolerated (ignored) but never repaired. Reads prune non-intersecting
+/// segments by header, and [`iter_from`](Self::iter_from) skips whole
+/// segments by their counted events when resuming from a global offset.
 #[derive(Debug)]
 pub struct StoreReader {
-    inner: ReaderInner,
-}
-
-#[derive(Debug)]
-enum ReaderInner {
-    File {
-        store: EventStore,
-    },
-    Segmented {
-        dir: PathBuf,
-        segments: Vec<SegmentMeta>,
-        /// Unsealed WAL events (decoded eagerly; bounded by segment size).
-        tail: Vec<Event>,
-        sealed: u64,
-    },
+    dir: PathBuf,
+    segments: Vec<SegmentMeta>,
+    /// Unsealed WAL events (decoded eagerly; bounded by segment size).
+    tail: Vec<Event>,
+    sealed: u64,
 }
 
 impl StoreReader {
-    /// Open a store for reading: directories resolve to the segmented
-    /// layout, files to the single-file layout (validated by magic).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref();
-        if path.is_dir() {
-            let dir = path.to_path_buf();
-            let mut segments = Vec::new();
-            let mut sealed = 0u64;
-            for p in sorted_segment_paths(&dir)? {
-                let meta = read_meta(&p)?;
-                sealed += meta.events as u64;
-                segments.push(meta);
-            }
-            let tail = wal_tail(&dir, sealed)?;
-            return Ok(StoreReader {
-                inner: ReaderInner::Segmented {
-                    dir,
-                    segments,
-                    tail,
-                    sealed,
-                },
-            });
+    /// Open a store directory for reading (segment headers and the WAL
+    /// tail only; record bodies are read by the iterators).
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
+        let dir = dir.as_ref().to_path_buf();
+        let mut segments = Vec::new();
+        let mut sealed = 0u64;
+        for p in sorted_segment_paths(&dir)? {
+            let meta = read_meta(&p)?;
+            sealed += meta.events as u64;
+            segments.push(meta);
         }
+        let tail = wal_tail(&dir, sealed)?;
         Ok(StoreReader {
-            inner: ReaderInner::File {
-                store: EventStore::open(path)?,
-            },
+            dir,
+            segments,
+            tail,
+            sealed,
         })
     }
 
-    /// Stream events matching `selection`, in stored order. Segmented
-    /// stores prune by segment header first.
-    pub fn iter(&self, selection: &Selection) -> Result<StoreIter, StoreError> {
-        match &self.inner {
-            ReaderInner::File { store } => Ok(StoreIter {
-                inner: IterInner::File(store.iter(selection)?),
-                selection: Selection::all(),
-                skip: 0,
-            }),
-            ReaderInner::Segmented { segments, tail, .. } => {
-                let pending: VecDeque<SegmentMeta> = segments
-                    .iter()
-                    .filter(|m| m.intersects(selection))
-                    .cloned()
-                    .collect();
-                Ok(StoreIter {
-                    inner: IterInner::Segments(SegIter {
-                        pending,
-                        current: Vec::new().into_iter(),
-                        tail: Some(tail.clone()),
-                        failed: false,
-                    }),
-                    selection: selection.clone(),
-                    skip: 0,
-                })
-            }
-        }
+    /// Stream events matching `selection`, in stored order, pruning by
+    /// segment header first.
+    pub fn iter(&self, selection: &Selection) -> StoreIter {
+        let pending = self
+            .segments
+            .iter()
+            .filter(|m| m.intersects(selection))
+            .cloned()
+            .collect();
+        StoreIter::new(pending, &self.tail, selection.clone(), 0)
     }
 
     /// Stream every event from global offset `offset` (0-based index in
     /// append order) to the end — the resume path: an engine checkpoint
     /// records the offset it was taken at, and the replacement session
     /// re-attaches here.
-    pub fn iter_from(&self, offset: u64) -> Result<StoreIter, StoreError> {
-        match &self.inner {
-            ReaderInner::File { store } => Ok(StoreIter {
-                inner: IterInner::File(store.iter(&Selection::all())?),
-                selection: Selection::all(),
-                skip: offset,
-            }),
-            ReaderInner::Segmented { segments, tail, .. } => {
-                let mut skip = offset;
-                let mut pending = VecDeque::new();
-                for meta in segments {
-                    if pending.is_empty() && skip >= meta.events as u64 {
-                        skip -= meta.events as u64;
-                        continue;
-                    }
-                    pending.push_back(meta.clone());
-                }
-                Ok(StoreIter {
-                    inner: IterInner::Segments(SegIter {
-                        pending,
-                        current: Vec::new().into_iter(),
-                        tail: Some(tail.clone()),
-                        failed: false,
-                    }),
-                    selection: Selection::all(),
-                    skip,
-                })
+    pub fn iter_from(&self, offset: u64) -> StoreIter {
+        let mut skip = offset;
+        let mut pending = VecDeque::new();
+        for meta in &self.segments {
+            if pending.is_empty() && skip >= meta.events as u64 {
+                skip -= meta.events as u64;
+                continue;
             }
+            pending.push_back(meta.clone());
         }
+        StoreIter::new(pending, &self.tail, Selection::all(), skip)
     }
 
     /// Read every event matching `selection` into memory.
     pub fn read(&self, selection: &Selection) -> Result<Vec<Event>, StoreError> {
-        self.iter(selection)?.collect()
+        self.iter(selection).collect()
     }
 
-    /// Total stored events. Segmented stores answer from headers + WAL
-    /// tail; single-file stores scan.
-    pub fn len(&self) -> Result<u64, StoreError> {
-        match &self.inner {
-            ReaderInner::File { store } => Ok(store.len()? as u64),
-            ReaderInner::Segmented { tail, sealed, .. } => Ok(sealed + tail.len() as u64),
-        }
+    /// Total stored events, from segment headers plus the WAL tail.
+    pub fn len(&self) -> u64 {
+        self.sealed + self.tail.len() as u64
     }
 
     /// Whether the store holds no events.
-    pub fn is_empty(&self) -> Result<bool, StoreError> {
-        Ok(self.len()? == 0)
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Distinct host ids present, sorted. Segmented stores answer from
-    /// segment headers plus the WAL tail.
-    pub fn hosts(&self) -> Result<Vec<String>, StoreError> {
-        match &self.inner {
-            ReaderInner::File { store } => store.hosts(),
-            ReaderInner::Segmented { segments, tail, .. } => {
-                let mut hosts: Vec<String> = segments
-                    .iter()
-                    .flat_map(|m| m.hosts.iter().cloned())
-                    .chain(tail.iter().map(|e| e.agent_id.to_string()))
-                    .collect();
-                hosts.sort();
-                hosts.dedup();
-                Ok(hosts)
-            }
-        }
+    /// Distinct host ids present, sorted, from segment headers plus the
+    /// WAL tail.
+    pub fn hosts(&self) -> Vec<String> {
+        let mut hosts: Vec<String> = self
+            .segments
+            .iter()
+            .flat_map(|m| m.hosts.iter().cloned())
+            .chain(self.tail.iter().map(|e| e.agent_id.to_string()))
+            .collect();
+        hosts.sort();
+        hosts.dedup();
+        hosts
     }
 
-    /// The store's path (file or directory).
+    /// The store's directory.
     pub fn path(&self) -> &Path {
-        match &self.inner {
-            ReaderInner::File { store } => store.path(),
-            ReaderInner::Segmented { dir, .. } => dir,
-        }
+        &self.dir
     }
 
-    /// The layout this reader resolved.
-    pub fn format(&self) -> StoreFormat {
-        match &self.inner {
-            ReaderInner::File { .. } => StoreFormat::File,
-            ReaderInner::Segmented { .. } => StoreFormat::Segmented,
-        }
-    }
-
-    /// Sealed segment headers (empty for single-file stores).
+    /// Sealed segment headers, in append order.
     pub fn segments(&self) -> &[SegmentMeta] {
-        match &self.inner {
-            ReaderInner::File { .. } => &[],
-            ReaderInner::Segmented { segments, .. } => segments,
-        }
+        &self.segments
     }
 }
 
-/// Streaming iterator over a [`StoreReader`] (both layouts): applies the
-/// selection, skips the global-offset prefix, and surfaces per-record
-/// decode failures as items.
+/// Streaming iterator over a [`StoreReader`]: decodes one segment at a
+/// time, applies the selection, skips the global-offset prefix, and
+/// surfaces a segment read or decode failure as an item that ends the
+/// stream.
 pub struct StoreIter {
-    inner: IterInner,
-    selection: Selection,
-    skip: u64,
-}
-
-enum IterInner {
-    File(EventIter),
-    Segments(SegIter),
-}
-
-struct SegIter {
     pending: VecDeque<SegmentMeta>,
     current: std::vec::IntoIter<Event>,
     tail: Option<Vec<Event>>,
     failed: bool,
+    selection: Selection,
+    skip: u64,
 }
 
-impl SegIter {
+impl StoreIter {
+    fn new(
+        pending: VecDeque<SegmentMeta>,
+        tail: &[Event],
+        selection: Selection,
+        skip: u64,
+    ) -> Self {
+        StoreIter {
+            pending,
+            current: Vec::new().into_iter(),
+            tail: Some(tail.to_vec()),
+            failed: false,
+            selection,
+            skip,
+        }
+    }
+
     fn next_raw(&mut self) -> Option<Result<Event, StoreError>> {
         if self.failed {
             return None;
@@ -686,11 +519,7 @@ impl Iterator for StoreIter {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let item = match &mut self.inner {
-                IterInner::File(iter) => iter.next()?,
-                IterInner::Segments(iter) => iter.next_raw()?,
-            };
-            let event = match item {
+            let event = match self.next_raw()? {
                 Ok(e) => e,
                 Err(e) => return Some(Err(e)),
             };
@@ -708,8 +537,9 @@ impl Iterator for StoreIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{EventSource, SourcePoll, StoreSource};
     use saql_model::event::EventBuilder;
-    use saql_model::ProcessInfo;
+    use saql_model::{ProcessInfo, Timestamp};
 
     fn ev(id: u64, host: &str, ts: u64) -> Event {
         EventBuilder::new(id, host, ts)
@@ -730,9 +560,19 @@ mod tests {
         StoreReader::open(path)
             .unwrap()
             .iter(&Selection::all())
-            .unwrap()
             .collect::<Result<_, _>>()
             .unwrap()
+    }
+
+    /// Overwrite the record body of a sealed segment with garbage, leaving
+    /// its header intact.
+    fn corrupt_body(meta: &SegmentMeta) {
+        let mut raw = fs::read(&meta.path).unwrap();
+        let header_len = 32 + meta.hosts.iter().map(|h| 4 + h.len()).sum::<usize>();
+        for b in &mut raw[header_len..] {
+            *b = 0xff;
+        }
+        fs::write(&meta.path, raw).unwrap();
     }
 
     #[test]
@@ -745,9 +585,21 @@ mod tests {
         // 3 sealed segments of 10, 5 in the WAL tail.
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.segments().len(), 3);
-        assert_eq!(reader.len().unwrap(), 35);
+        assert_eq!(reader.len(), 35);
         assert_eq!(read_all(&dir), events);
+        // Segment headers index each slab's time range.
+        let first = &reader.segments()[0];
+        assert_eq!(first.min_ts, Timestamp::from_millis(0));
+        assert_eq!(first.max_ts, Timestamp::from_millis(900));
+        // Empty store: opens, holds nothing, iterates nothing.
+        let empty = tmp_dir("roundtrip-empty");
+        StoreWriter::create_segmented(&empty).unwrap();
+        let reader = StoreReader::open(&empty).unwrap();
+        assert!(reader.is_empty());
+        assert!(reader.hosts().is_empty());
+        assert!(read_all(&empty).is_empty());
         fs::remove_dir_all(dir).unwrap();
+        fs::remove_dir_all(empty).unwrap();
     }
 
     #[test]
@@ -781,7 +633,7 @@ mod tests {
         let raw = fs::read(&wal).unwrap();
         fs::write(&wal, &raw[..raw.len() - 7]).unwrap();
         // Reader tolerates the tear (loses only the torn record) …
-        assert_eq!(StoreReader::open(&dir).unwrap().len().unwrap(), 3);
+        assert_eq!(StoreReader::open(&dir).unwrap().len(), 3);
         // … writer repairs it and appends cleanly after the tear.
         let mut w = StoreWriter::open_segmented(&dir, 100).unwrap();
         assert_eq!(w.len(), 3);
@@ -804,7 +656,7 @@ mod tests {
         write_segment(&segment_file(&dir, 0), &events[..4]).unwrap();
         drop(w);
         let reader = StoreReader::open(&dir).unwrap();
-        assert_eq!(reader.len().unwrap(), 6, "no duplicates, no losses");
+        assert_eq!(reader.len(), 6, "no duplicates, no losses");
         assert_eq!(read_all(&dir), events);
         let w = StoreWriter::open_segmented(&dir, 100).unwrap();
         assert_eq!(w.len(), 6);
@@ -819,57 +671,34 @@ mod tests {
         w.append(&events).unwrap();
         let reader = StoreReader::open(&dir).unwrap();
         for offset in [0u64, 1, 7, 8, 9, 16, 24, 25] {
-            let got: Vec<Event> = reader
-                .iter_from(offset)
-                .unwrap()
-                .collect::<Result<_, _>>()
-                .unwrap();
+            let got: Vec<Event> = reader.iter_from(offset).collect::<Result<_, _>>().unwrap();
             assert_eq!(got, events[offset as usize..], "offset {offset}");
         }
         fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
-    fn file_store_recovery_truncates_torn_tail() {
-        let path = tmp_dir("filetear");
-        {
-            let mut w = StoreWriter::create(&path).unwrap();
-            w.append(&[ev(1, "h", 1), ev(2, "h", 2)]).unwrap();
-            w.sync().unwrap();
-        }
-        let raw = fs::read(&path).unwrap();
-        fs::write(&path, &raw[..raw.len() - 3]).unwrap();
-        let mut w = StoreWriter::open(&path).unwrap();
-        assert_eq!(w.len(), 1);
-        w.append(&[ev(3, "h", 3)]).unwrap();
-        let back = read_all(&path);
-        assert_eq!(
-            back.iter().map(|e| e.id).collect::<Vec<_>>(),
-            vec![1, 3],
-            "torn record dropped, append lands after the repair"
-        );
-        fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn reader_resolves_both_layouts() {
+    fn reader_and_writer_reject_a_regular_file() {
         let file = tmp_dir("asfile");
-        StoreWriter::create(&file)
-            .unwrap()
-            .append(&[ev(1, "h", 1)])
-            .unwrap();
-        assert_eq!(
-            StoreReader::open(&file).unwrap().format(),
-            StoreFormat::File
-        );
+        fs::write(&file, b"not a store").unwrap();
+        for err in [
+            StoreReader::open(&file).unwrap_err().to_string(),
+            StoreWriter::open(&file).err().unwrap().to_string(),
+            StoreWriter::create_segmented(&file)
+                .err()
+                .unwrap()
+                .to_string(),
+        ] {
+            assert!(err.contains("not a store directory"), "{err}");
+            assert!(err.contains("saqlseg"), "{err}");
+        }
         let dir = tmp_dir("asdir");
         StoreWriter::create_segmented(&dir)
             .unwrap()
             .append(&[ev(2, "h", 2)])
             .unwrap();
         let r = StoreReader::open(&dir).unwrap();
-        assert_eq!(r.format(), StoreFormat::Segmented);
-        assert_eq!(r.hosts().unwrap(), vec!["h".to_string()]);
+        assert_eq!(r.hosts(), vec!["h".to_string()]);
         fs::remove_file(file).unwrap();
         fs::remove_dir_all(dir).unwrap();
     }
@@ -878,14 +707,63 @@ mod tests {
     fn selection_prunes_sealed_segments() {
         let dir = tmp_dir("prune");
         let mut w = StoreWriter::create_segmented_with(&dir, 5).unwrap();
-        w.append(&(0..5).map(|i| ev(i, "web", i)).collect::<Vec<_>>())
-            .unwrap();
-        w.append(&(5..10).map(|i| ev(i, "db", i)).collect::<Vec<_>>())
-            .unwrap();
+        let events: Vec<Event> = (0..5)
+            .map(|i| ev(i, "web", i * 100))
+            .chain((5..10).map(|i| ev(i, "db", i * 100)))
+            .chain((10..15).map(|i| ev(i, "web", i * 100)))
+            .collect();
+        w.append(&events).unwrap();
         let reader = StoreReader::open(&dir).unwrap();
-        let got = reader.read(&Selection::host("db")).unwrap();
-        assert_eq!(got.len(), 5);
-        assert!(got.iter().all(|e| &*e.agent_id == "db"));
+        let metas = reader.segments();
+        assert_eq!(metas.len(), 3);
+        assert_eq!(metas[1].hosts.iter().collect::<Vec<_>>(), vec!["db"]);
+        assert_eq!(metas[2].min_ts, Timestamp::from_millis(1000));
+        assert_eq!(metas[2].max_ts, Timestamp::from_millis(1400));
+
+        // Break the bodies of every segment a host or time selection must
+        // skip: the pruned reads never touch them.
+        corrupt_body(&metas[0]);
+        corrupt_body(&metas[2]);
+        let by_host = Selection::host("db");
+        let by_time =
+            Selection::all().between(Timestamp::from_millis(600), Timestamp::from_millis(900));
+        for sel in [by_host, by_time] {
+            let expected: Vec<Event> = events.iter().filter(|e| sel.matches(e)).cloned().collect();
+            assert!(!expected.is_empty());
+            assert_eq!(reader.read(&sel).unwrap(), expected, "{sel:?}");
+        }
+        // A full read reaches the broken bodies and fails.
+        assert!(matches!(
+            reader.read(&Selection::all()),
+            Err(StoreError::Decode(_))
+        ));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_segments_fail_at_open_or_iteration() {
+        let dir = tmp_dir("corrupt");
+        let mut w = StoreWriter::create_segmented_with(&dir, 4).unwrap();
+        let events: Vec<Event> = (0..8).map(|i| ev(i, "h", i)).collect();
+        w.append(&events).unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        let (first, second) = (&reader.segments()[0], &reader.segments()[1]);
+
+        // Intact header, corrupt body: opening reads headers only, so the
+        // store opens and the stream fails when it reaches the body.
+        corrupt_body(second);
+        let reader = StoreReader::open(&dir).unwrap();
+        assert_eq!(reader.len(), 8);
+        let mut source = StoreSource::open("store", &reader, &Selection::all()).unwrap();
+        let mut out = Vec::new();
+        while source.poll(&mut out, 3) != SourcePoll::End {}
+        assert_eq!(out.len(), 4, "the intact segment streams");
+        let failure = source.failure().expect("corrupt body surfaces");
+        assert!(failure.contains("corrupt store record"), "{failure}");
+
+        // A garbage segment file is an error too.
+        fs::write(&first.path, b"garbage").unwrap();
+        assert!(StoreReader::open(&dir).is_err());
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -897,7 +775,7 @@ mod tests {
         w.seal().unwrap();
         let reader = StoreReader::open(&dir).unwrap();
         assert_eq!(reader.segments().len(), 1);
-        assert_eq!(reader.len().unwrap(), 2);
+        assert_eq!(reader.len(), 2);
         fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -11,23 +11,25 @@
 //!   into the single enterprise-wide stream, including the watermarked
 //!   [`merge::WatermarkMerge`] over pull-based sources;
 //! * [`source`] — the [`EventSource`] ingestion contract and its adapters:
-//!   streamed store selections, paced replays, JSON-lines readers, and
-//!   push-handle channels;
-//! * [`store`] — a file-backed event store (the databases behind the demo's
-//!   replayer), using the compact binary codec from `saql-model`;
-//! * [`durable`] — the [`StoreWriter`]/[`StoreReader`] split over both store
-//!   layouts: WAL-disciplined segmented appends, recovery-on-open that
-//!   truncates a torn tail, and global-offset reads for exact session
-//!   resume;
-//! * [`replayer`] — the stream replayer (paper Fig. 4): select hosts and a
-//!   time range, then replay stored data as a stream at a configurable
-//!   speed.
+//!   streamed store selections, JSON-lines readers, push-handle channels,
+//!   and [`source::PacedSource`], which replays any of them at a trace-time
+//!   speed;
+//! * [`store`] — store errors and the host/time [`store::Selection`];
+//! * [`durable`] — the event store (the databases behind the demo's
+//!   replayer): a segmented directory written by [`StoreWriter`] with
+//!   WAL-disciplined appends and recovery-on-open, and read by
+//!   [`StoreReader`] with header-pruned selections and global-offset reads
+//!   for exact session resume;
+//! * [`segment`] — the sealed segment file format and its header index.
+//!
+//! The stream replayer of the paper's Fig. 4 is the composition
+//! [`StoreReader`] → [`source::StoreSource`] (select hosts and a time
+//! range) → [`source::PacedSource`] (replay at a speed).
 
 pub mod batch;
 pub mod channel;
 pub mod durable;
 pub mod merge;
-pub mod replayer;
 pub mod segment;
 pub mod source;
 pub mod store;
@@ -41,7 +43,7 @@ pub type SharedEvent = Arc<Event>;
 
 pub use batch::{batched, BatchView, EventBatch, DEFAULT_BATCH_SIZE};
 pub use channel::PushError;
-pub use durable::{StoreFormat, StoreIter, StoreReader, StoreWriter};
+pub use durable::{StoreIter, StoreReader, StoreWriter};
 pub use merge::{Lateness, MergeConfig, MergeStatus, SourceId, SourceStats, WatermarkMerge};
 pub use source::{EventSource, SourcePoll};
 

@@ -281,8 +281,8 @@ impl Slot<'_> {
                 ts.as_millis().saturating_sub(bound.as_millis())
             }
         };
-        // A source may know more than its emitted events (paced replayers,
-        // push handles with explicit punctuation): take the larger promise.
+        // A source may know more than its emitted events (push handles
+        // with explicit punctuation): take the larger promise.
         let hint = self
             .source
             .as_ref()

@@ -1,13 +1,11 @@
-//! Segmented event store with pruned reads.
+//! Segment files: the immutable, sealed half of the store (see
+//! [`crate::durable`] for the WAL tail and the append discipline).
 //!
-//! [`crate::store::EventStore`] is a single append-only file — fine for
-//! demos, but every read scans everything. Deployments that retain weeks of
-//! monitoring data (the paper: ~50 GB/day per 100 hosts) need reads that
-//! touch only the relevant slices. `SegmentedStore` writes immutable
-//! *segments* (one file per flush, bounded event count) whose headers carry
-//! the segment's time range and host set; a selection read first plans over
-//! headers and decodes only intersecting segments — the classic LSM/
-//! data-skipping layout, minimally.
+//! Each segment holds a bounded run of events, and its header carries the
+//! segment's event count, time range and host set. A selection read plans
+//! over headers first and decodes only intersecting segments — the classic
+//! LSM/data-skipping layout, minimally. Opening a store reads headers only;
+//! record bodies are read when an iterator reaches them.
 //!
 //! Segment file layout:
 //! `SAQLSEG1 | count:u32 | min_ts:u64 | max_ts:u64 | n_hosts:u32 |
@@ -15,16 +13,18 @@
 //! `saql_model::codec` format).
 
 use std::collections::BTreeSet;
-use std::fs::{self, File};
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use saql_model::{codec, Event, Timestamp};
 
 use crate::store::{Selection, StoreError};
 
 const SEG_MAGIC: &[u8; 8] = b"SAQLSEG1";
+/// Fixed header prefix: magic, count, min/max ts, host count.
+const FIXED_HEADER_LEN: usize = 8 + 4 + 8 + 8 + 4;
 
 /// Header metadata of one segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,111 +53,6 @@ impl SegmentMeta {
             return false;
         }
         true
-    }
-}
-
-/// Outcome counters of one pruned read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStats {
-    pub segments_total: usize,
-    pub segments_scanned: usize,
-    pub segments_skipped: usize,
-    pub events_decoded: usize,
-    pub events_returned: usize,
-}
-
-/// A directory of immutable event segments.
-#[derive(Debug)]
-pub struct SegmentedStore {
-    dir: PathBuf,
-    /// Maximum events per segment file.
-    segment_events: usize,
-}
-
-impl SegmentedStore {
-    /// Create a fresh store directory (must be empty or absent).
-    pub fn create(dir: impl AsRef<Path>, segment_events: usize) -> Result<Self, StoreError> {
-        assert!(segment_events > 0, "segments must hold at least one event");
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        Ok(SegmentedStore {
-            dir,
-            segment_events,
-        })
-    }
-
-    /// Open an existing store directory.
-    pub fn open(dir: impl AsRef<Path>, segment_events: usize) -> Result<Self, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        if !dir.is_dir() {
-            return Err(StoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("{} is not a directory", dir.display()),
-            )));
-        }
-        Ok(SegmentedStore {
-            dir,
-            segment_events,
-        })
-    }
-
-    /// Append a batch, flushing one or more immutable segments.
-    pub fn append(&self, events: &[Event]) -> Result<(), StoreError> {
-        let first = self.segment_paths()?.len();
-        for (i, chunk) in events.chunks(self.segment_events).enumerate() {
-            let path = self.dir.join(format!("seg-{:06}.saqlseg", first + i));
-            write_segment(&path, chunk)?;
-        }
-        Ok(())
-    }
-
-    /// Headers of all segments, in file order.
-    pub fn segments(&self) -> Result<Vec<SegmentMeta>, StoreError> {
-        self.segment_paths()?
-            .into_iter()
-            .map(|p| read_meta(&p))
-            .collect()
-    }
-
-    /// Read all events matching `selection`, pruning non-intersecting
-    /// segments by header. Returns the events (in stored order) and the
-    /// pruning statistics.
-    pub fn read(&self, selection: &Selection) -> Result<(Vec<Event>, ReadStats), StoreError> {
-        let mut stats = ReadStats::default();
-        let mut out = Vec::new();
-        for path in self.segment_paths()? {
-            stats.segments_total += 1;
-            let meta = read_meta(&path)?;
-            if !meta.intersects(selection) {
-                stats.segments_skipped += 1;
-                continue;
-            }
-            stats.segments_scanned += 1;
-            let events = read_segment_events(&path)?;
-            stats.events_decoded += events.len();
-            out.extend(events.into_iter().filter(|e| selection.matches(e)));
-        }
-        stats.events_returned = out.len();
-        Ok((out, stats))
-    }
-
-    /// Total stored events (headers only — no record decoding).
-    pub fn len(&self) -> Result<usize, StoreError> {
-        Ok(self.segments()?.iter().map(|m| m.events as usize).sum())
-    }
-
-    /// True when no segments exist.
-    pub fn is_empty(&self) -> Result<bool, StoreError> {
-        Ok(self.segment_paths()?.is_empty())
-    }
-
-    fn segment_paths(&self) -> Result<Vec<PathBuf>, StoreError> {
-        let mut paths: Vec<PathBuf> = fs::read_dir(&self.dir)?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == "saqlseg"))
-            .collect();
-        paths.sort();
-        Ok(paths)
     }
 }
 
@@ -191,57 +86,76 @@ pub(crate) fn write_segment(path: &Path, events: &[Event]) -> Result<(), StoreEr
     Ok(())
 }
 
-fn read_file(path: &Path) -> Result<Bytes, StoreError> {
-    let mut f = File::open(path)?;
-    let mut raw = Vec::new();
-    f.read_to_end(&mut raw)?;
-    Ok(Bytes::from(raw))
+/// Read exactly `N` header bytes; a short read means a torn header.
+fn read_array<const N: usize>(r: &mut impl Read) -> Result<[u8; N], StoreError> {
+    let mut out = [0u8; N];
+    r.read_exact(&mut out).map_err(|_| StoreError::BadMagic)?;
+    Ok(out)
 }
 
-fn parse_header(data: &mut Bytes, path: &Path) -> Result<SegmentMeta, StoreError> {
-    if data.remaining() < SEG_MAGIC.len() + 4 + 8 + 8 + 4 {
+/// Parse a segment header from `r`, where `len` is the byte length of the
+/// whole segment. Every length field is capped by the bytes that remain
+/// before anything is allocated, so a corrupt header is an error, never a
+/// huge allocation. Returns the metadata and the header's byte length.
+fn parse_header(
+    r: &mut impl Read,
+    len: u64,
+    path: &Path,
+) -> Result<(SegmentMeta, u64), StoreError> {
+    let fixed: [u8; FIXED_HEADER_LEN] = read_array(r)?;
+    if &fixed[..8] != SEG_MAGIC {
         return Err(StoreError::BadMagic);
     }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
-    if &magic != SEG_MAGIC {
+    let u32_at = |at: usize| u32::from_le_bytes(fixed[at..at + 4].try_into().unwrap());
+    let u64_at = |at: usize| u64::from_le_bytes(fixed[at..at + 8].try_into().unwrap());
+    let events = u32_at(8);
+    let min_ts = Timestamp::from_millis(u64_at(12));
+    let max_ts = Timestamp::from_millis(u64_at(20));
+    let n_hosts = u32_at(28);
+    let mut consumed = FIXED_HEADER_LEN as u64;
+    // Every host entry costs at least its 4-byte length prefix.
+    if u64::from(n_hosts) * 4 > len.saturating_sub(consumed) {
         return Err(StoreError::BadMagic);
     }
-    let events = data.get_u32_le();
-    let min_ts = Timestamp::from_millis(data.get_u64_le());
-    let max_ts = Timestamp::from_millis(data.get_u64_le());
-    let n_hosts = data.get_u32_le();
     let mut hosts = BTreeSet::new();
     for _ in 0..n_hosts {
-        if data.remaining() < 4 {
+        let host_len = u64::from(u32::from_le_bytes(read_array(r)?));
+        consumed += 4;
+        if host_len > len.saturating_sub(consumed) {
             return Err(StoreError::BadMagic);
         }
-        let len = data.get_u32_le() as usize;
-        if data.remaining() < len {
-            return Err(StoreError::BadMagic);
-        }
-        let raw = data.copy_to_bytes(len);
-        let host = std::str::from_utf8(&raw).map_err(|_| StoreError::BadMagic)?;
-        hosts.insert(host.to_string());
+        let mut raw = vec![0u8; host_len as usize];
+        r.read_exact(&mut raw).map_err(|_| StoreError::BadMagic)?;
+        consumed += host_len;
+        let host = String::from_utf8(raw).map_err(|_| StoreError::BadMagic)?;
+        hosts.insert(host);
     }
-    Ok(SegmentMeta {
+    let meta = SegmentMeta {
         path: path.to_path_buf(),
         events,
         min_ts,
         max_ts,
         hosts,
-    })
+    };
+    Ok((meta, consumed))
 }
 
+/// Read a segment's header without touching its record body.
 pub(crate) fn read_meta(path: &Path) -> Result<SegmentMeta, StoreError> {
-    let mut data = read_file(path)?;
-    parse_header(&mut data, path)
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let (meta, _) = parse_header(&mut BufReader::new(file), len, path)?;
+    Ok(meta)
 }
 
+/// Read and decode every record of a segment.
 pub(crate) fn read_segment_events(path: &Path) -> Result<Vec<Event>, StoreError> {
-    let mut data = read_file(path)?;
-    let meta = parse_header(&mut data, path)?;
-    let mut out = Vec::with_capacity(meta.events as usize);
+    let mut raw = Vec::new();
+    File::open(path)?.read_to_end(&mut raw)?;
+    let (meta, header_len) = parse_header(&mut raw.as_slice(), raw.len() as u64, path)?;
+    let mut data = Bytes::from(raw).slice(header_len as usize..);
+    // Every record is at least one byte: cap the count by the body length.
+    let mut out = Vec::with_capacity((meta.events as usize).min(data.len()));
     for _ in 0..meta.events {
         out.push(codec::decode_event(&mut data)?);
     }
@@ -261,109 +175,52 @@ mod tests {
             .build()
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
+    fn tmp(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("saql-segstore-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&p);
+        p.push(format!("saql-segment-{}-{tag}.saqlseg", std::process::id()));
         p
     }
 
-    #[test]
-    fn roundtrip_across_segments() {
-        let dir = tmp_dir("roundtrip");
-        let store = SegmentedStore::create(&dir, 10).unwrap();
-        let events: Vec<Event> = (0..35).map(|i| ev(i, "h1", i * 100)).collect();
-        store.append(&events).unwrap();
-        assert_eq!(store.segments().unwrap().len(), 4);
-        assert_eq!(store.len().unwrap(), 35);
-        let (back, stats) = store.read(&Selection::all()).unwrap();
-        assert_eq!(back, events);
-        assert_eq!(stats.segments_scanned, 4);
-        assert_eq!(stats.segments_skipped, 0);
-        fs::remove_dir_all(dir).unwrap();
+    /// A valid one-host segment and its bytes.
+    fn valid_segment(tag: &str) -> (PathBuf, Vec<u8>) {
+        let path = tmp(tag);
+        write_segment(&path, &[ev(1, "web", 10), ev(2, "web", 20)]).unwrap();
+        let raw = std::fs::read(&path).unwrap();
+        (path, raw)
     }
 
     #[test]
-    fn time_range_prunes_segments() {
-        let dir = tmp_dir("time-prune");
-        let store = SegmentedStore::create(&dir, 10).unwrap();
-        // 4 segments covering ts 0..3500 in slabs.
-        let events: Vec<Event> = (0..40).map(|i| ev(i, "h1", i * 100)).collect();
-        store.append(&events).unwrap();
-        let sel = Selection::all().between(Timestamp::from_millis(0), Timestamp::from_millis(500));
-        let (got, stats) = store.read(&sel).unwrap();
-        assert_eq!(got.len(), 5);
-        assert_eq!(stats.segments_scanned, 1, "{stats:?}");
-        assert_eq!(stats.segments_skipped, 3, "{stats:?}");
-        // Only one segment's events were decoded.
-        assert_eq!(stats.events_decoded, 10, "{stats:?}");
-        fs::remove_dir_all(dir).unwrap();
+    fn header_roundtrips_without_the_body() {
+        let (path, raw) = valid_segment("meta");
+        // Chop the body: the header alone still parses.
+        let header_len = FIXED_HEADER_LEN + 4 + "web".len();
+        std::fs::write(&path, &raw[..header_len]).unwrap();
+        let meta = read_meta(&path).unwrap();
+        assert_eq!(meta.events, 2);
+        assert_eq!(meta.min_ts, Timestamp::from_millis(10));
+        assert_eq!(meta.max_ts, Timestamp::from_millis(20));
+        assert_eq!(meta.hosts.iter().collect::<Vec<_>>(), vec!["web"]);
+        assert!(read_segment_events(&path).is_err(), "missing body");
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
-    fn host_set_prunes_segments() {
-        let dir = tmp_dir("host-prune");
-        let store = SegmentedStore::create(&dir, 5).unwrap();
-        // Per-host appends produce per-host segments.
-        store
-            .append(&(0..5).map(|i| ev(i, "web", i * 10)).collect::<Vec<_>>())
-            .unwrap();
-        store
-            .append(&(5..10).map(|i| ev(i, "db", i * 10)).collect::<Vec<_>>())
-            .unwrap();
-        let (got, stats) = store.read(&Selection::host("db")).unwrap();
-        assert_eq!(got.len(), 5);
-        assert_eq!(stats.segments_skipped, 1, "{stats:?}");
-        fs::remove_dir_all(dir).unwrap();
+    fn inflated_event_count_is_an_error() {
+        let (path, mut raw) = valid_segment("count");
+        raw[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        assert_eq!(read_meta(&path).unwrap().events, u32::MAX);
+        assert!(read_segment_events(&path).is_err(), "body runs out");
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
-    fn multiple_appends_extend_segment_sequence() {
-        let dir = tmp_dir("appends");
-        let store = SegmentedStore::create(&dir, 100).unwrap();
-        store.append(&[ev(1, "h", 1)]).unwrap();
-        store.append(&[ev(2, "h", 2)]).unwrap();
-        assert_eq!(store.segments().unwrap().len(), 2);
-        let reopened = SegmentedStore::open(&dir, 100).unwrap();
-        assert_eq!(reopened.len().unwrap(), 2);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn meta_carries_time_and_hosts() {
-        let dir = tmp_dir("meta");
-        let store = SegmentedStore::create(&dir, 100).unwrap();
-        store
-            .append(&[ev(1, "web", 500), ev(2, "db", 900), ev(3, "web", 100)])
-            .unwrap();
-        let metas = store.segments().unwrap();
-        assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].min_ts, Timestamp::from_millis(100));
-        assert_eq!(metas[0].max_ts, Timestamp::from_millis(900));
-        assert_eq!(
-            metas[0].hosts.iter().cloned().collect::<Vec<_>>(),
-            vec!["db".to_string(), "web".to_string()]
-        );
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_segment_is_an_error() {
-        let dir = tmp_dir("corrupt");
-        let store = SegmentedStore::create(&dir, 100).unwrap();
-        fs::write(dir.join("seg-000000.saqlseg"), b"garbage").unwrap();
-        assert!(store.read(&Selection::all()).is_err());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn empty_store() {
-        let dir = tmp_dir("empty");
-        let store = SegmentedStore::create(&dir, 100).unwrap();
-        assert!(store.is_empty().unwrap());
-        let (got, stats) = store.read(&Selection::all()).unwrap();
-        assert!(got.is_empty());
-        assert_eq!(stats.segments_total, 0);
-        fs::remove_dir_all(dir).unwrap();
+    fn torn_or_foreign_header_is_an_error() {
+        let (path, raw) = valid_segment("torn");
+        std::fs::write(&path, &raw[..FIXED_HEADER_LEN - 1]).unwrap();
+        assert!(matches!(read_meta(&path), Err(StoreError::BadMagic)));
+        std::fs::write(&path, b"garbage").unwrap();
+        assert!(matches!(read_meta(&path), Err(StoreError::BadMagic)));
+        std::fs::remove_file(path).unwrap();
     }
 }

@@ -3,24 +3,24 @@
 //! The paper's architecture feeds the query engine from monitoring agents
 //! deployed across an enterprise; this module is that boundary's contract.
 //! An [`EventSource`] is anything the engine can *pull* batches of events
-//! from — a streamed [`EventStore`] selection, a paced [`Replayer`], a
-//! JSON-lines file or pipe, a push-handle channel fed by another thread —
-//! and the watermarked K-way merge ([`crate::merge::WatermarkMerge`]) fuses
-//! any number of them into one deterministic enterprise-wide stream.
-//!
-//! [`EventStore`]: crate::store::EventStore
-//! [`Replayer`]: crate::replayer::Replayer
+//! from — a streamed store selection ([`StoreSource`]), a JSON-lines file
+//! or pipe, a push-handle channel fed by another thread — and the
+//! watermarked K-way merge ([`crate::merge::WatermarkMerge`]) fuses any
+//! number of them into one deterministic enterprise-wide stream.
+//! [`PacedSource`] wraps any source to replay it at a trace-time speed
+//! (the stream replayer of the paper's Fig. 4).
 
+use std::collections::VecDeque;
 use std::io::BufRead;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use saql_model::json::{decode_event_json, JsonError};
 use saql_model::Timestamp;
 
 use crate::channel::{event_channel, EventReceiver, EventSender, PushError};
 use crate::durable::{StoreIter, StoreReader};
-use crate::replayer::{Replayer, Speed};
 use crate::store::{Selection, StoreError};
 use crate::SharedEvent;
 
@@ -195,19 +195,6 @@ impl ChannelSource {
             ended: false,
         }
     }
-
-    /// A source replaying a stored selection on a background thread at the
-    /// given [`Speed`] — the live "follow" mode of the stream replayer.
-    pub fn replay(
-        name: impl Into<String>,
-        replayer: &Replayer,
-        selection: &Selection,
-        speed: Speed,
-        capacity: usize,
-    ) -> Result<ChannelSource, StoreError> {
-        let rx = replayer.replay_channel(selection, speed, capacity)?;
-        Ok(ChannelSource::new(name, rx))
-    }
 }
 
 impl EventSource for ChannelSource {
@@ -274,11 +261,8 @@ pub fn push_source(name: impl Into<String>, capacity: usize) -> (PushHandle, Cha
 // Event store source
 // ---------------------------------------------------------------------
 
-/// Streams a [`StoreReader`] selection in stored order without ever
-/// materializing the store — the streaming replacement for
-/// `EventStore::read` in ingestion paths, over either store layout.
-///
-/// [`EventStore`]: crate::store::EventStore
+/// Streams a [`StoreReader`] selection in stored order, one segment at a
+/// time, without ever materializing the store.
 pub struct StoreSource {
     name: String,
     iter: Option<StoreIter>,
@@ -286,7 +270,8 @@ pub struct StoreSource {
 }
 
 impl StoreSource {
-    /// Open a streaming source over `reader` (headers validated eagerly).
+    /// Open a streaming source over a `reader` selection (the headers were
+    /// validated when the reader opened).
     pub fn open(
         name: impl Into<String>,
         reader: &StoreReader,
@@ -294,7 +279,7 @@ impl StoreSource {
     ) -> Result<StoreSource, StoreError> {
         Ok(StoreSource {
             name: name.into(),
-            iter: Some(reader.iter(selection)?),
+            iter: Some(reader.iter(selection)),
             error: None,
         })
     }
@@ -309,7 +294,7 @@ impl StoreSource {
     ) -> Result<StoreSource, StoreError> {
         Ok(StoreSource {
             name: name.into(),
-            iter: Some(reader.iter_from(offset)?),
+            iter: Some(reader.iter_from(offset)),
             error: None,
         })
     }
@@ -352,6 +337,93 @@ impl EventSource for StoreSource {
         self.error
             .as_ref()
             .map(|e| format!("stream ended early: {e}"))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Paced replay
+// ---------------------------------------------------------------------
+
+/// Replays any source at `factor`× trace time (2.0 = twice as fast as
+/// recorded), keeping its order: an event is released once the wall time
+/// since the first event reaches its trace-time offset divided by
+/// `factor`. Never blocks — an event not yet due makes
+/// [`poll`](EventSource::poll) return [`SourcePoll::Idle`], and the session
+/// pump waits. Events earlier than the first one are due at once.
+pub struct PacedSource<S> {
+    inner: S,
+    factor: f64,
+    /// Pulled from `inner` but not yet due.
+    pending: VecDeque<SharedEvent>,
+    /// Wall instant and trace time (ms) of the first event.
+    start: Option<(Instant, u64)>,
+    inner_done: bool,
+}
+
+impl<S: EventSource> PacedSource<S> {
+    /// Pace `inner` at `factor`× trace time; `factor` must be positive.
+    pub fn new(inner: S, factor: f64) -> Self {
+        assert!(factor > 0.0, "pacing factor must be positive");
+        PacedSource {
+            inner,
+            factor,
+            pending: VecDeque::new(),
+            start: None,
+            inner_done: false,
+        }
+    }
+
+    fn due(&self, event: &SharedEvent) -> bool {
+        let Some((wall, trace_ms)) = self.start else {
+            return true;
+        };
+        let offset_ms = event.ts.as_millis().saturating_sub(trace_ms) as f64 / self.factor;
+        wall.elapsed().as_secs_f64() * 1000.0 >= offset_ms
+    }
+}
+
+impl<S: EventSource> EventSource for PacedSource<S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn poll(&mut self, out: &mut Vec<SharedEvent>, max: usize) -> SourcePoll {
+        if self.pending.is_empty() && !self.inner_done {
+            let mut pulled = Vec::new();
+            self.inner_done = self.inner.poll(&mut pulled, max) == SourcePoll::End;
+            self.pending.extend(pulled);
+        }
+        if self.start.is_none() {
+            if let Some(first) = self.pending.front() {
+                self.start = Some((Instant::now(), first.ts.as_millis()));
+            }
+        }
+        let mut got = 0;
+        while got < max && self.pending.front().is_some_and(|e| self.due(e)) {
+            out.extend(self.pending.pop_front());
+            got += 1;
+        }
+        if self.pending.is_empty() && self.inner_done {
+            SourcePoll::End
+        } else if got > 0 {
+            SourcePoll::Ready
+        } else {
+            SourcePoll::Idle
+        }
+    }
+
+    /// The inner source's promise holds only once nothing is held back:
+    /// a pending event may be earlier than it.
+    fn watermark(&self) -> Option<Timestamp> {
+        if self.pending.is_empty() {
+            self.inner.watermark()
+        } else {
+            None
+        }
+    }
+
+    fn failure(&self) -> Option<String> {
+        self.inner.failure()
     }
 }
 
@@ -564,15 +636,22 @@ mod tests {
         assert_eq!(*back[1], events[1]);
     }
 
+    fn store_with(tag: &str, events: &[Event]) -> (std::path::PathBuf, StoreReader) {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("saql-source-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut writer = crate::StoreWriter::create_segmented_with(&dir, 2).unwrap();
+        writer.append(events).unwrap();
+        let reader = StoreReader::open(&dir).unwrap();
+        (dir, reader)
+    }
+
     #[test]
     fn store_source_streams_a_selection() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("saql-source-store-{}.bin", std::process::id()));
-        crate::store::EventStore::create(&path)
-            .unwrap()
-            .append(&[ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)])
-            .unwrap();
-        let reader = StoreReader::open(&path).unwrap();
+        let (dir, reader) = store_with(
+            "select",
+            &[ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)],
+        );
         let mut source = StoreSource::open("store", &reader, &Selection::host("h1")).unwrap();
         let out = drain(&mut source);
         assert_eq!(out.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3]);
@@ -580,6 +659,66 @@ mod tests {
         let mut resumed = StoreSource::open_at("store", &reader, 1).unwrap();
         let rest = drain(&mut resumed);
         assert_eq!(rest.iter().map(|e| e.id).collect::<Vec<_>>(), vec![2, 3]);
-        std::fs::remove_file(path).unwrap();
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn paced_source_keeps_stored_order_and_paces() {
+        // Stored out of time order: pacing must not reorder. 200 ms of
+        // trace at 10x takes at least ~20 ms of wall time.
+        let (dir, reader) = store_with(
+            "paced",
+            &[
+                ev(1, "h", 0),
+                ev(2, "h", 200),
+                ev(3, "h", 100),
+                ev(4, "h", 150),
+            ],
+        );
+        let store = StoreSource::open("store", &reader, &Selection::all()).unwrap();
+        let mut paced = PacedSource::new(store, 10.0);
+        assert_eq!(paced.name(), "store");
+        let started = Instant::now();
+        let mut out = Vec::new();
+        let mut idle = 0;
+        loop {
+            match paced.poll(&mut out, 8) {
+                SourcePoll::End => break,
+                SourcePoll::Ready => {}
+                SourcePoll::Idle => {
+                    idle += 1;
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+        }
+        assert_eq!(
+            out.iter().map(|e| e.id).collect::<Vec<_>>(),
+            vec![1, 2, 3, 4]
+        );
+        assert!(idle > 0, "the 200 ms event was not due at once");
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed >= std::time::Duration::from_millis(15),
+            "too fast: {elapsed:?}"
+        );
+        assert_eq!(paced.poll(&mut out, 8), SourcePoll::End, "End is sticky");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn paced_source_forwards_watermark_and_failure() {
+        let (push, source) = push_source("p", 8);
+        let mut paced = PacedSource::new(source, 1.0);
+        push.advance_watermark(Timestamp::from_millis(500));
+        assert_eq!(paced.watermark(), Some(Timestamp::from_millis(500)));
+        // An event held back (not yet due) withholds the promise.
+        assert!(push.push(Arc::new(ev(1, "h", 0))));
+        assert!(push.push(Arc::new(ev(2, "h", 60_000))));
+        let mut out = Vec::new();
+        assert_eq!(paced.poll(&mut out, 8), SourcePoll::Ready);
+        assert_eq!(out.len(), 1);
+        assert_eq!(paced.watermark(), None);
+        push.report_failure("upstream lost");
+        assert_eq!(paced.failure().as_deref(), Some("upstream lost"));
     }
 }

@@ -1,28 +1,21 @@
-//! File-backed event store.
+//! Store errors and the host/time [`Selection`] that store reads take.
 //!
-//! The demo stores collected monitoring data "in databases" so the stream
-//! replayer can re-create the attack stream on demand. This store is the
-//! functional equivalent: an append-only file of codec-encoded records plus
-//! query helpers for host/time-range selection.
-//!
-//! Layout: a fixed 8-byte header (`SAQLSTO1`) followed by back-to-back
-//! records in `saql_model::codec` format.
+//! The demo keeps collected monitoring data "in databases" so the stream
+//! replayer can re-create the attack stream on demand. Here that store is
+//! the segmented directory of [`crate::durable`], written through
+//! [`StoreWriter`](crate::StoreWriter) and read back through
+//! [`StoreReader`](crate::StoreReader).
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io;
 
-use bytes::{Bytes, BytesMut};
-use saql_model::codec::{self, DecodeError};
+use saql_model::codec::DecodeError;
 use saql_model::{Event, Timestamp};
-
-const MAGIC: &[u8; 8] = b"SAQLSTO1";
 
 /// Errors from store operations.
 #[derive(Debug)]
 pub enum StoreError {
     Io(io::Error),
-    /// File did not begin with the store magic.
+    /// A segment or WAL file with a wrong magic or a malformed header.
     BadMagic,
     Decode(DecodeError),
     /// Store-level invariant violation (e.g. a WAL that disagrees with the
@@ -34,7 +27,7 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
-            StoreError::BadMagic => write!(f, "not a SAQL event store (bad magic)"),
+            StoreError::BadMagic => write!(f, "not a SAQL store file (bad magic or header)"),
             StoreError::Decode(e) => write!(f, "corrupt store record: {e}"),
             StoreError::Corrupt(msg) => write!(f, "corrupt store: {msg}"),
         }
@@ -53,12 +46,6 @@ impl From<DecodeError> for StoreError {
     fn from(e: DecodeError) -> Self {
         StoreError::Decode(e)
     }
-}
-
-/// An append-only, file-backed event store.
-#[derive(Debug)]
-pub struct EventStore {
-    path: PathBuf,
 }
 
 /// Host/time selection for reads (the replayer UI's knobs).
@@ -109,346 +96,5 @@ impl Selection {
             }
         }
         true
-    }
-}
-
-impl EventStore {
-    /// Create a new store file (truncating any existing one).
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let mut f = File::create(&path)?;
-        f.write_all(MAGIC)?;
-        Ok(EventStore { path })
-    }
-
-    /// Open an existing store, validating the header.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = path.as_ref().to_path_buf();
-        let mut f = File::open(&path)?;
-        let mut magic = [0u8; 8];
-        f.read_exact(&mut magic).map_err(|_| StoreError::BadMagic)?;
-        if &magic != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        Ok(EventStore { path })
-    }
-
-    /// Append a batch of events.
-    pub fn append(&self, events: &[Event]) -> Result<(), StoreError> {
-        let mut f = OpenOptions::new().append(true).open(&self.path)?;
-        let mut buf = BytesMut::with_capacity(events.len() * 96);
-        for e in events {
-            codec::encode_event(&mut buf, e);
-        }
-        f.write_all(&buf)?;
-        Ok(())
-    }
-
-    /// Read every stored event matching `selection`, in stored order.
-    ///
-    /// Materializes the whole selection; ingestion paths should prefer the
-    /// streaming [`iter`](Self::iter), which holds one read chunk at a time.
-    pub fn read(&self, selection: &Selection) -> Result<Vec<Event>, StoreError> {
-        self.iter(selection)?.collect()
-    }
-
-    /// Stream every stored event matching `selection`, in stored order,
-    /// decoding incrementally from fixed-size read chunks — memory stays
-    /// flat no matter how large the store is. The header is validated
-    /// eagerly; per-record IO/decode failures surface as iterator items.
-    pub fn iter(&self, selection: &Selection) -> Result<EventIter, StoreError> {
-        let mut f = File::open(&self.path)?;
-        let mut magic = [0u8; 8];
-        f.read_exact(&mut magic).map_err(|_| StoreError::BadMagic)?;
-        if &magic != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        Ok(EventIter {
-            file: Some(f),
-            buf: Bytes::new(),
-            selection: selection.clone(),
-        })
-    }
-
-    /// Total number of stored events (full streaming scan).
-    pub fn len(&self) -> Result<usize, StoreError> {
-        let mut n = 0;
-        for event in self.iter(&Selection::all())? {
-            event?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// Whether the store holds no events.
-    pub fn is_empty(&self) -> Result<bool, StoreError> {
-        match self.iter(&Selection::all())?.next() {
-            None => Ok(true),
-            Some(Ok(_)) => Ok(false),
-            Some(Err(e)) => Err(e),
-        }
-    }
-
-    /// Distinct host ids present in the store, sorted.
-    pub fn hosts(&self) -> Result<Vec<String>, StoreError> {
-        let mut hosts: Vec<String> = Vec::new();
-        for event in self.iter(&Selection::all())? {
-            hosts.push(event?.agent_id.to_string());
-        }
-        hosts.sort();
-        hosts.dedup();
-        Ok(hosts)
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// How much of the backing file one [`EventIter`] refill reads.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// Streaming iterator over a store selection (see [`EventStore::iter`]).
-///
-/// Records are decoded straight out of a rolling read buffer; a record
-/// split across chunk boundaries is retried after the next refill, so only
-/// `READ_CHUNK` bytes plus one partial record are ever resident.
-#[derive(Debug)]
-pub struct EventIter {
-    /// `None` once EOF was reached (or an error ended the stream).
-    file: Option<File>,
-    /// Undecoded bytes carried between refills.
-    buf: Bytes,
-    selection: Selection,
-}
-
-impl EventIter {
-    /// Append the next chunk of the file to the undecoded remainder.
-    /// Returns whether any new bytes arrived.
-    fn refill(&mut self) -> Result<bool, StoreError> {
-        let Some(file) = self.file.as_mut() else {
-            return Ok(false);
-        };
-        let mut chunk = vec![0u8; READ_CHUNK];
-        let mut filled = 0;
-        while filled < chunk.len() {
-            match file.read(&mut chunk[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.file = None;
-                    return Err(e.into());
-                }
-            }
-        }
-        if filled == 0 {
-            self.file = None;
-            return Ok(false);
-        }
-        if self.buf.is_empty() {
-            chunk.truncate(filled);
-            self.buf = Bytes::from(chunk);
-        } else {
-            let mut joined = Vec::with_capacity(self.buf.len() + filled);
-            joined.extend_from_slice(&self.buf);
-            joined.extend_from_slice(&chunk[..filled]);
-            self.buf = Bytes::from(joined);
-        }
-        Ok(true)
-    }
-}
-
-impl Iterator for EventIter {
-    type Item = Result<Event, StoreError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if !self.buf.is_empty() {
-                // Decode on a cheap view clone: on success advance the real
-                // buffer by what was consumed, on a truncation mid-record
-                // leave it untouched and read more.
-                let mut attempt = self.buf.clone();
-                match codec::decode_event(&mut attempt) {
-                    Ok(event) => {
-                        let consumed = self.buf.len() - attempt.len();
-                        self.buf = self.buf.slice(consumed..);
-                        if self.selection.matches(&event) {
-                            return Some(Ok(event));
-                        }
-                        continue;
-                    }
-                    Err(DecodeError::Truncated) if self.file.is_some() => {}
-                    Err(e) => {
-                        // Corrupt record (or truncated tail at EOF): the
-                        // stream cannot be resynced past it.
-                        self.file = None;
-                        self.buf = Bytes::new();
-                        return Some(Err(e.into()));
-                    }
-                }
-            }
-            match self.refill() {
-                Ok(true) => continue,
-                Ok(false) => {
-                    if self.buf.is_empty() {
-                        return None;
-                    }
-                    // EOF inside a record.
-                    self.buf = Bytes::new();
-                    return Some(Err(DecodeError::Truncated.into()));
-                }
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use saql_model::event::EventBuilder;
-    use saql_model::ProcessInfo;
-
-    fn ev(id: u64, host: &str, ts: u64) -> Event {
-        EventBuilder::new(id, host, ts)
-            .subject(ProcessInfo::new(1, "a.exe", "u"))
-            .starts_process(ProcessInfo::new(2, "b.exe", "u"))
-            .build()
-    }
-
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("saql-store-test-{}-{name}.bin", std::process::id()));
-        p
-    }
-
-    #[test]
-    fn roundtrip_append_read() {
-        let path = tmp("roundtrip");
-        let store = EventStore::create(&path).unwrap();
-        let events = vec![ev(1, "h1", 10), ev(2, "h2", 20), ev(3, "h1", 30)];
-        store.append(&events).unwrap();
-        let back = store.read(&Selection::all()).unwrap();
-        assert_eq!(back, events);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn selection_by_host_and_time() {
-        let path = tmp("selection");
-        let store = EventStore::create(&path).unwrap();
-        store
-            .append(&[
-                ev(1, "h1", 10),
-                ev(2, "h2", 20),
-                ev(3, "h1", 30),
-                ev(4, "h1", 40),
-            ])
-            .unwrap();
-        let h1 = store.read(&Selection::host("h1")).unwrap();
-        assert_eq!(h1.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 3, 4]);
-        let sel =
-            Selection::host("h1").between(Timestamp::from_millis(20), Timestamp::from_millis(40));
-        let ranged = store.read(&sel).unwrap();
-        assert_eq!(ranged.iter().map(|e| e.id).collect::<Vec<_>>(), vec![3]);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn multiple_appends_accumulate() {
-        let path = tmp("appends");
-        let store = EventStore::create(&path).unwrap();
-        store.append(&[ev(1, "h", 1)]).unwrap();
-        store.append(&[ev(2, "h", 2)]).unwrap();
-        assert_eq!(store.len().unwrap(), 2);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn reopen_preserves_data() {
-        let path = tmp("reopen");
-        {
-            let store = EventStore::create(&path).unwrap();
-            store.append(&[ev(7, "h", 70)]).unwrap();
-        }
-        let store = EventStore::open(&path).unwrap();
-        assert_eq!(store.read(&Selection::all()).unwrap()[0].id, 7);
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn hosts_listing() {
-        let path = tmp("hosts");
-        let store = EventStore::create(&path).unwrap();
-        store
-            .append(&[ev(1, "zeta", 1), ev(2, "alpha", 2), ev(3, "zeta", 3)])
-            .unwrap();
-        assert_eq!(
-            store.hosts().unwrap(),
-            vec!["alpha".to_string(), "zeta".to_string()]
-        );
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let path = tmp("badmagic");
-        std::fs::write(&path, b"NOTASTORE").unwrap();
-        assert!(matches!(EventStore::open(&path), Err(StoreError::BadMagic)));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn iter_streams_across_chunk_boundaries() {
-        // Enough events that records straddle several 64 KiB read chunks.
-        let path = tmp("iterchunks");
-        let store = EventStore::create(&path).unwrap();
-        let events: Vec<Event> = (0..4_000)
-            .map(|i| ev(i, if i % 2 == 0 { "h-even" } else { "h-odd" }, i * 3))
-            .collect();
-        store.append(&events).unwrap();
-        let streamed: Vec<Event> = store
-            .iter(&Selection::all())
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(streamed, events);
-        let odd: Vec<Event> = store
-            .iter(&Selection::host("h-odd"))
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(odd.len(), 2_000);
-        assert!(odd.iter().all(|e| &*e.agent_id == "h-odd"));
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn iter_reports_truncated_tail() {
-        let path = tmp("itertrunc");
-        let store = EventStore::create(&path).unwrap();
-        store.append(&[ev(1, "h", 10), ev(2, "h", 20)]).unwrap();
-        // Chop the last record in half.
-        let raw = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &raw[..raw.len() - 5]).unwrap();
-        let mut iter = EventStore::open(&path)
-            .unwrap()
-            .iter(&Selection::all())
-            .unwrap();
-        assert_eq!(iter.next().unwrap().unwrap().id, 1);
-        assert!(matches!(iter.next(), Some(Err(StoreError::Decode(_)))));
-        assert!(iter.next().is_none(), "stream ends after the error");
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn empty_store() {
-        let path = tmp("empty");
-        let store = EventStore::create(&path).unwrap();
-        assert!(store.is_empty().unwrap());
-        assert!(store.hosts().unwrap().is_empty());
-        std::fs::remove_file(path).unwrap();
     }
 }

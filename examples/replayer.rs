@@ -7,40 +7,44 @@
 
 use saql::collector::{AttackConfig, SimConfig, Simulator};
 use saql::model::Timestamp;
-use saql::stream::replayer::{Replayer, Speed};
-use saql::stream::store::{EventStore, Selection};
+use saql::stream::source::{EventSource, PacedSource, SourcePoll, StoreSource};
+use saql::stream::store::Selection;
+use saql::stream::{StoreReader, StoreWriter};
 use saql::SaqlSystem;
 
 fn main() {
-    // 1. Collect a trace and store it (the demo's "databases").
+    // 1. Collect a trace and store it durably (the demo's "databases").
     let trace = Simulator::generate(&SimConfig {
         seed: 7,
         clients: 6,
         duration_ms: 60 * 60_000,
         attack: Some(AttackConfig::default()),
     });
-    let mut path = std::env::temp_dir();
-    path.push(format!("saql-replayer-example-{}.bin", std::process::id()));
-    let store = EventStore::create(&path).expect("create store");
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("saql-replayer-example-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = StoreWriter::create_segmented(&dir).expect("create store");
     store.append(&trace.events).expect("append trace");
+    store.sync().expect("sync store");
+    let reader = StoreReader::open(&dir).expect("open store");
     println!(
-        "stored {} events from {} hosts at {}",
-        trace.events.len(),
-        store.hosts().unwrap().len(),
-        path.display()
+        "stored {} events from {} hosts in {} segments at {}",
+        reader.len(),
+        reader.hosts().len(),
+        reader.segments().len(),
+        dir.display()
     );
 
     // 2. Replay only the database server for the second half hour — the
-    //    replayer UI's host + time-range selection.
-    let replayer = Replayer::open(&path).expect("open store");
+    //    replayer UI's host + time-range selection. Segments outside the
+    //    selection are skipped by their headers.
     let selection = Selection::host("db-server").between(
         Timestamp::from_millis(30 * 60_000),
         Timestamp::from_millis(60 * 60_000),
     );
-    let events: Vec<_> = replayer.replay_iter(&selection).expect("replay").collect();
+    let selected = reader.read(&selection).expect("read selection").len();
     println!(
-        "replaying db-server 30..60 min: {} events (of {} total)",
-        events.len(),
+        "replaying db-server 30..60 min: {selected} events (of {} total)",
         trace.events.len()
     );
 
@@ -52,7 +56,9 @@ fn main() {
     system
         .deploy("outlier-db-peer", saql::corpus::DEMO_OUTLIER_DB)
         .unwrap();
-    let alerts = system.run_events(events);
+    let mut session = system.engine().session();
+    session.attach(StoreSource::open("db-server", &reader, &selection).expect("open source"));
+    let alerts = session.drain();
     println!("\n--- alerts from replayed stream ---");
     for a in &alerts {
         println!("{a}");
@@ -60,21 +66,25 @@ fn main() {
     assert!(alerts.iter().any(|a| a.query == "c5-exfiltration"));
 
     // 4. Paced replay: compress one hour of trace into ~1 second of wall
-    //    time through a bounded channel (how the CLI drives live demos).
-    let rx = replayer
-        .replay_channel(
-            &Selection::host("db-server"),
-            Speed::Compressed { factor: 3600.0 },
-            256,
-        )
-        .expect("channel replay");
+    //    time (what `saql replay --speed 3600` does). The paced source
+    //    never blocks; it reports Idle until the next event is due.
+    let source =
+        StoreSource::open("paced", &reader, &Selection::host("db-server")).expect("open source");
+    let mut paced = PacedSource::new(source, 3600.0);
     let started = std::time::Instant::now();
-    let replayed = rx.into_iter().count();
+    let mut replayed = Vec::new();
+    loop {
+        match paced.poll(&mut replayed, 256) {
+            SourcePoll::End => break,
+            SourcePoll::Ready => {}
+            SourcePoll::Idle => std::thread::sleep(std::time::Duration::from_millis(1)),
+        }
+    }
     println!(
         "\npaced replay: {} events in {:.2}s wall time (3600x compression)",
-        replayed,
+        replayed.len(),
         started.elapsed().as_secs_f64()
     );
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -34,8 +34,7 @@ return es[0].hosts as hosts
 EOF
 
 echo "== simulate a durable segmented store"
-"$BIN" simulate --out "$TMP/trace.d" --minutes 90 --clients 10 --seed 11 \
-    --durable-store
+"$BIN" simulate --out "$TMP/trace.d" --minutes 90 --clients 10 --seed 11
 
 echo "== uninterrupted checkpointed pipeline run"
 "$BIN" replay --store "$TMP/trace.d" --query "$TMP/tiered.saql" \

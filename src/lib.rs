@@ -12,7 +12,8 @@
 //! * [`lang`] — the SAQL language: lexer, parser, semantic checker,
 //!   pretty-printer, and the paper's query corpus;
 //! * [`analytics`] — aggregates, moving averages, DBSCAN, k-means;
-//! * [`stream`] — event channels, k-way host merge, event store, replayer;
+//! * [`stream`] — event channels, k-way host merge, the segmented event
+//!   store, and paced store replay;
 //! * [`engine`] — multievent matcher, sliding windows, state maintainer,
 //!   invariants, cluster stage, alert evaluator, and the master–dependent
 //!   concurrent query scheduler;

@@ -254,37 +254,54 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Replayer ordering
+// Store reads: selection and resume offsets
 // ---------------------------------------------------------------------
 
 proptest! {
     #[test]
-    fn replayer_emits_sorted_selection(
+    fn store_reader_emits_selection_in_stored_order(
         events in proptest::collection::vec(arb_event(), 1..50),
+        segment_events in 1usize..12,
         pick_host in any::<bool>(),
+        bounded in any::<bool>(),
+        from in any::<u32>(),
+        until in any::<u32>(),
+        offset_seed in any::<usize>(),
     ) {
-        use saql::stream::replayer::Replayer;
-        use saql::stream::store::{EventStore, Selection};
-        let mut path = std::env::temp_dir();
-        path.push(format!("saql-prop-replayer-{}-{}.bin", std::process::id(), events.len()));
-        let store = EventStore::create(&path).unwrap();
-        store.append(&events).unwrap();
-        let selection = if pick_host {
+        use saql::stream::store::Selection;
+        use saql::stream::{StoreReader, StoreWriter};
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("saql-prop-store-{}-{}", std::process::id(), events.len()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut writer = StoreWriter::create_segmented_with(&dir, segment_events).unwrap();
+        writer.append(&events).unwrap();
+        drop(writer);
+        let reader = StoreReader::open(&dir).unwrap();
+
+        let mut selection = if pick_host {
             Selection::host(events[0].agent_id.to_string())
         } else {
             Selection::all()
         };
-        drop(store);
-        let replayed: Vec<saql::model::Event> = Replayer::open(&path)
-            .unwrap()
-            .replay_iter(&selection)
-            .unwrap()
-            .map(|e| (*e).clone())
-            .collect();
-        let _ = std::fs::remove_file(&path);
-        // Sorted by (ts, id) and exactly the matching subset.
-        prop_assert!(replayed.windows(2).all(|w| (w[0].ts, w[0].id) <= (w[1].ts, w[1].id)));
-        let expected = events.iter().filter(|e| selection.matches(e)).count();
-        prop_assert_eq!(replayed.len(), expected);
+        if bounded {
+            // Event timestamps are arbitrary u32 milliseconds.
+            selection = selection.between(
+                saql::model::Timestamp::from_millis(from.min(until) as u64),
+                saql::model::Timestamp::from_millis(from.max(until) as u64),
+            );
+        }
+        let selected = reader.read(&selection).unwrap();
+        let k = offset_seed % (events.len() + 1);
+        let resumed: Vec<saql::model::Event> = reader
+            .iter_from(k as u64)
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Exactly the matching subset, in stored order (no sort).
+        let expected: Vec<saql::model::Event> =
+            events.iter().filter(|e| selection.matches(e)).cloned().collect();
+        prop_assert_eq!(selected, expected);
+        prop_assert_eq!(resumed, events[k..].to_vec());
     }
 }

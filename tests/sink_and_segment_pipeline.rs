@@ -6,8 +6,9 @@ use saql::collector::{AttackConfig, SimConfig, Simulator};
 use saql::engine::sink::{ChannelSink, CollectSink, JsonLinesSink, TeeSink};
 use saql::engine::{Engine, EngineConfig};
 use saql::model::Timestamp;
-use saql::stream::segment::SegmentedStore;
+use saql::stream::source::StoreSource;
 use saql::stream::store::Selection;
+use saql::stream::{StoreReader, StoreWriter};
 
 fn small_attack_trace() -> saql::collector::Trace {
     Simulator::generate(&SimConfig {
@@ -79,58 +80,58 @@ fn json_lines_export_round_trips_key_fields() {
     assert!(exfil.contains("172.16.9.129"), "{exfil}");
 }
 
+/// Persist the trace as a segmented store of `segment_events`-sized
+/// segments and open it for reading.
+fn stored(
+    trace: &saql::collector::Trace,
+    tag: &str,
+    segment_events: usize,
+) -> (std::path::PathBuf, StoreReader) {
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("saql-seg-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut writer = StoreWriter::create_segmented_with(&dir, segment_events).unwrap();
+    writer.append(&trace.events).unwrap();
+    writer.seal().unwrap();
+    let reader = StoreReader::open(&dir).unwrap();
+    (dir, reader)
+}
+
 #[test]
 fn segmented_store_prunes_and_detects() {
     let trace = small_attack_trace();
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("saql-seg-pipeline-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = SegmentedStore::create(&dir, 4096).unwrap();
-    store.append(&trace.events).unwrap();
+    let (dir, reader) = stored(&trace, "pipeline", 4096);
 
     // Select only the attack tail on the DB server: most segments skip.
     let selection = Selection::host("db-server").between(
         Timestamp::from_millis(25 * 60_000),
         Timestamp::from_millis(45 * 60_000),
     );
-    let (events, stats) = store.read(&selection).unwrap();
-    assert!(stats.segments_skipped > 0, "{stats:?}");
-    assert!(stats.events_decoded < trace.events.len(), "{stats:?}");
-    assert!(!events.is_empty());
+    let segments = reader.segments();
+    let planned = segments.iter().filter(|m| m.intersects(&selection)).count();
+    assert!(
+        planned > 0 && planned < segments.len(),
+        "{planned} of {}",
+        segments.len()
+    );
 
-    // The selected slice still powers the exfiltration detection.
+    // The selected slice, streamed in stored order, still powers the
+    // exfiltration detection.
     let mut engine = Engine::new(EngineConfig::default());
     engine
         .register("c5", saql::corpus::DEMO_C5_EXFILTRATION)
         .unwrap();
-    let mut sorted = events;
-    sorted.sort_by_key(|e| (e.ts, e.id));
-    let alerts = engine
-        .run(
-            sorted
-                .into_iter()
-                .map(std::sync::Arc::new)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+    let mut session = engine.session();
+    session.attach(StoreSource::open("db-tail", &reader, &selection).unwrap());
+    let alerts = session.drain();
     assert!(alerts.iter().any(|a| a.query == "c5"), "{alerts:?}");
     std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
-fn segmented_and_flat_store_agree() {
+fn segmented_store_selection_matches_trace_filter() {
     let trace = small_attack_trace();
-
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("saql-seg-agree-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let seg = SegmentedStore::create(&dir, 1000).unwrap();
-    seg.append(&trace.events).unwrap();
-
-    let mut flat_path = std::env::temp_dir();
-    flat_path.push(format!("saql-flat-agree-{}.bin", std::process::id()));
-    let flat = saql::stream::store::EventStore::create(&flat_path).unwrap();
-    flat.append(&trace.events).unwrap();
+    let (dir, reader) = stored(&trace, "filter", 1000);
 
     for selection in [
         Selection::all(),
@@ -140,12 +141,14 @@ fn segmented_and_flat_store_agree() {
             Timestamp::from_millis(10 * 60_000),
         ),
     ] {
-        let (mut a, _) = seg.read(&selection).unwrap();
-        let mut b = flat.read(&selection).unwrap();
-        a.sort_by_key(|e| e.id);
-        b.sort_by_key(|e| e.id);
-        assert_eq!(a, b);
+        let expected: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| selection.matches(e))
+            .cloned()
+            .collect();
+        assert!(!expected.is_empty(), "{selection:?}");
+        assert_eq!(reader.read(&selection).unwrap(), expected, "{selection:?}");
     }
     std::fs::remove_dir_all(dir).unwrap();
-    std::fs::remove_file(flat_path).unwrap();
 }
